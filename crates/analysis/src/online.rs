@@ -75,12 +75,16 @@ impl OnlinePartial {
         OnlinePartial::default()
     }
 
-    /// Fold one visit record in. The record is round-tripped through
-    /// the store codec so the yield is computed from exactly the bytes
-    /// the batch analyzer would decode.
+    /// Fold one owned visit record in, through its codec bytes.
     pub fn absorb(&mut self, record: &VisitRecord, pass: UpdatePass) {
-        let raw = codec::encode(record);
-        let view = decode_view(&raw).expect("store codec round-trip");
+        self.absorb_encoded(&codec::encode(record), pass);
+    }
+
+    /// Fold one visit record in from its codec bytes — the bytes a
+    /// crawl worker's encoder finished, which the store holds too — so
+    /// the yield is computed exactly as the batch analyzer computes it.
+    pub fn absorb_encoded(&mut self, encoded: &[u8], pass: UpdatePass) {
+        let view = decode_view(encoded).expect("records reach the partial as valid codec bytes");
         let yielded = fan_out(&view);
         let key = (view.domain.to_owned(), os_slot(view.os));
         let rank = pass.rank();

@@ -5,18 +5,30 @@
 //! execute whatever the page does (ordinary resources, anti-abuse
 //! scans, native-app probes, developer-error fetches…), and hand back
 //! the NetLog capture.
+//!
+//! There is one engine, [`Browser::visit_with`], generic over where
+//! its telemetry goes ([`EventSink`]). [`Browser::visit`] collects
+//! owned events into a [`Capture`]; a crawl worker streams them into
+//! its record encoder instead. Either way the engine borrows every
+//! string it logs: URLs are written once per request into scratch
+//! buffers the [`World`] keeps, and parsed in place.
+
+use std::fmt::{self, Write};
+use std::net::{IpAddr, Ipv4Addr};
 
 use kt_faults::{SalvagedVisit, VisitFaults};
 use kt_netbase::pna::{self, AddressSpace, PreflightResult};
 use kt_netbase::services::is_native_app_port;
-use kt_netbase::{Host, Url};
+use kt_netbase::{HostView, Url, UrlView};
 use kt_netlog::{
-    Capture, EventParams, EventPhase, EventType, NetError, NetLogger, SourceRef, SourceType,
+    Capture, EventPhase, EventSink, EventType, NetError, NetLogger, ParamsView, SourceRef,
+    SourceType,
 };
 use kt_simnet::dns::DnsError;
+use kt_simnet::rng::LaneHasher;
 use kt_simnet::server::ServerBehavior;
 use kt_simnet::tls::CertVerdict;
-use kt_simnet::ConnectOutcome;
+use kt_simnet::{ConnectOutcome, HostEnv, SimNet};
 use kt_webgen::{Channel, SensorGate, WebSite};
 
 use crate::config::{BrowserConfig, PnaMode};
@@ -60,18 +72,93 @@ pub struct Browser<'w> {
     seed: u64,
 }
 
-/// Deterministic per-visit hash (independent of crawl order).
-fn hash(seed: u64, label: &str) -> u64 {
-    let mut h = seed ^ 0xb70b_5e65;
-    for chunk in label.as_bytes().chunks(8) {
-        let mut lane = [0u8; 8];
-        lane[..chunk.len()].copy_from_slice(chunk);
-        h = h
-            .wrapping_add(u64::from_le_bytes(lane))
-            .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 29;
+/// Deterministic per-visit hash of a label (independent of crawl
+/// order): 8-byte lanes folded with a multiply-xorshift step. The
+/// label streams in, so it is never formatted into a `String`.
+fn hash(seed: u64, label: fmt::Arguments<'_>) -> u64 {
+    let mut h = LaneHasher::with_step(seed ^ 0xb70b_5e65, |h, lane| {
+        let h = h.wrapping_add(lane).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h ^ (h >> 29)
+    });
+    h.write_fmt(label).expect("hashing never fails");
+    h.finish_lanes()
+}
+
+/// Buffers one visit fills and the next one reuses. They live in the
+/// [`World`], which a crawl worker keeps for its whole campaign.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    landing: String,
+    initiator: String,
+    url: String,
+    address: String,
+    jobs: Vec<Job>,
+}
+
+/// One request the page will issue.
+#[derive(Debug)]
+struct Job {
+    target: JobTarget,
+    channel: Channel,
+    at: u64,
+}
+
+/// What a [`Job`] requests.
+#[derive(Debug)]
+enum JobTarget {
+    /// Public script `i` from CDN host number `host`.
+    Cdn { host: usize, i: u8 },
+    /// Same-origin stylesheet `i`.
+    Asset { i: u8 },
+    /// The BIG-IP challenge interstitial (same origin).
+    Challenge,
+    /// A planted behaviour's request.
+    Planned(Url),
+}
+
+impl JobTarget {
+    /// Write the request URL exactly as `Url`'s `Display` writes it.
+    fn write_url(&self, out: &mut String, landing: Target<'_>) -> fmt::Result {
+        let scheme = landing.url.scheme();
+        match self {
+            JobTarget::Cdn { host, i } => {
+                write!(out, "https://{}/lib/resource{i}.js", CDN_HOSTS[*host])
+            }
+            JobTarget::Asset { i } => {
+                write!(out, "{scheme}://{}/static/asset{i}.css", landing.host)
+            }
+            JobTarget::Challenge => write!(
+                out,
+                "{scheme}://{}/TSPD/08e8ab5bacab2000?type=7",
+                landing.host
+            ),
+            JobTarget::Planned(url) => write!(out, "{url}"),
+        }
     }
-    h
+}
+
+/// A request URL as the engine uses it: the text it logs, parsed in
+/// place, and the host as `Url`'s `Display` writes it (SNI, the
+/// `SSL_CONNECT` parameter).
+#[derive(Debug, Clone, Copy)]
+struct Target<'a> {
+    text: &'a str,
+    url: UrlView<'a>,
+    host: &'a str,
+}
+
+impl<'a> Target<'a> {
+    /// Parse URL text the engine wrote with `Url`'s `Display`.
+    fn parse(text: &'a str) -> Target<'a> {
+        let url = UrlView::parse(text).expect("engine URLs are well-formed");
+        let rest = text.split_once("://").map_or(text, |(_, rest)| rest);
+        let authority = &rest[..rest.find(['/', '?', '#']).unwrap_or(rest.len())];
+        let host = match authority.find(']') {
+            Some(end) if authority.starts_with('[') => &authority[..=end],
+            _ => authority.split(':').next().unwrap_or(authority),
+        };
+        Target { text, url, host }
+    }
 }
 
 impl<'w> Browser<'w> {
@@ -89,7 +176,20 @@ impl<'w> Browser<'w> {
         self.visit_faulted(site, &VisitFaults::NONE)
     }
 
-    /// Visit one site's landing page under an injected fault set.
+    /// Visit one site's landing page under an injected fault set,
+    /// collecting the capture (see [`Browser::visit_with`]).
+    pub fn visit_faulted(&mut self, site: &WebSite, faults: &VisitFaults) -> VisitResult {
+        let mut log = NetLogger::new();
+        let outcome = self.visit_with(site, faults, &mut log);
+        VisitResult {
+            domain: site.domain.as_str().to_string(),
+            outcome,
+            capture: log.into_capture(),
+        }
+    }
+
+    /// Visit one site's landing page under an injected fault set,
+    /// emitting its telemetry through `log`.
     ///
     /// The hooks mirror how each fault manifests in a real crawl:
     ///
@@ -100,32 +200,62 @@ impl<'w> Browser<'w> {
     ///   document starts arriving: the load is reported as
     ///   `ERR_CONNECTION_RESET` and the page never runs;
     /// * `panic` — the visit crashes mid-flight, throwing a
-    ///   [`SalvagedVisit`] carrying the capture prefix logged so far
-    ///   (the supervisor's `catch_unwind` quarantines the site);
+    ///   [`SalvagedVisit`] carrying the capture prefix the sink hands
+    ///   over (a sink that keeps its events across the unwind, like a
+    ///   crawl worker's encoder, hands over none and is read directly;
+    ///   the supervisor's `catch_unwind` quarantines the site);
     /// * `truncate_capture` — the capture loses its tail after the
     ///   visit completes; the outcome is untouched, only evidence
     ///   shrinks (monotone: a truncated capture is a valid prefix).
-    pub fn visit_faulted(&mut self, site: &WebSite, faults: &VisitFaults) -> VisitResult {
-        let mut log = NetLogger::new();
-        let window = self.config.window_ms;
+    pub fn visit_with<S: EventSink>(
+        &mut self,
+        site: &WebSite,
+        faults: &VisitFaults,
+        log: &mut NetLogger<S>,
+    ) -> PageLoadOutcome {
+        let World {
+            net,
+            host_env,
+            scratch,
+            ..
+        } = &mut *self.world;
+        let Scratch {
+            landing,
+            initiator,
+            url,
+            address,
+            jobs,
+        } = scratch;
+        let mut page = Page {
+            net,
+            host_env,
+            log,
+            address,
+            config: &self.config,
+            seed: self.seed,
+            window: self.config.window_ms,
+        };
 
         // Chrome's own housekeeping traffic, on a browser-internal
         // source — present so the detection filter has something real
         // to exclude.
-        let internal = log.new_source(SourceType::BrowserInternal);
-        log.log(
+        let internal = page.log.new_source(SourceType::BrowserInternal);
+        page.log.emit(
             0,
             internal,
             EventType::NetworkChangeNotifier,
             EventPhase::None,
-            EventParams::None,
+            ParamsView::None,
         );
 
-        let landing = World::landing_url(site);
+        landing.clear();
+        let scheme = World::landing_scheme(site);
+        write!(landing, "{scheme}://{}/", site.domain).expect("write to String");
+        let landing = Target::parse(landing);
         if faults.dns_flap {
-            return self.flapped_dns_visit(log, site, &landing, window);
+            return page.flapped_dns_visit(landing);
         }
-        let (load_end, result) = self.fetch_http(&mut log, &landing, 0, None, window);
+        let (load_end, result) = page.fetch_http(landing, 0, None);
         let mut outcome = match result {
             Ok(_status) => PageLoadOutcome::Loaded { at_ms: load_end },
             Err(err) => PageLoadOutcome::Failed(err),
@@ -134,28 +264,20 @@ impl<'w> Browser<'w> {
             if let PageLoadOutcome::Loaded { at_ms } = outcome {
                 // The document connection resets just after the load:
                 // the flow that carried the page dies mid-flight.
-                let source = log.new_source(SourceType::UrlRequest);
-                self.log_clamped(
-                    &mut log,
+                let source = page.log.new_source(SourceType::UrlRequest);
+                page.emit(
                     at_ms,
                     source,
                     EventType::UrlRequestStartJob,
                     EventPhase::Begin,
-                    EventParams::UrlRequestStart {
-                        url: landing.to_string(),
-                        method: "GET".to_string(),
+                    ParamsView::UrlRequestStart {
+                        url: landing.text,
+                        method: "GET",
                         initiator: None,
                         load_flags: 0,
                     },
-                    window,
                 );
-                self.fail(
-                    &mut log,
-                    source,
-                    at_ms + 40,
-                    NetError::ConnectionReset,
-                    window,
-                );
+                page.fail(source, at_ms + 40, NetError::ConnectionReset);
                 outcome = PageLoadOutcome::Failed(NetError::ConnectionReset);
             }
         }
@@ -164,129 +286,183 @@ impl<'w> Browser<'w> {
             // events logged so far are the salvageable prefix.
             std::panic::panic_any(SalvagedVisit {
                 domain: site.domain.as_str().to_string(),
-                events: log.into_capture().events,
+                events: page.log.sink_mut().salvage(),
             });
         }
         if let PageLoadOutcome::Loaded { at_ms } = outcome {
-            self.run_page(&mut log, site, &landing, at_ms, window);
+            page.run_page(site, landing, at_ms, initiator, url, jobs);
         }
-        let mut capture = log.into_capture();
         if faults.truncate_capture {
             // The capture writer lost its tail: keep a prefix. Event
             // count is deterministic, so so is the cut.
-            let keep = capture.events.len() * 2 / 3;
-            capture.events.truncate(keep);
+            let keep = page.log.len() * 2 / 3;
+            page.log.sink_mut().truncate_events(keep);
         }
-        VisitResult {
-            domain: site.domain.as_str().to_string(),
-            outcome,
-            capture,
-        }
+        outcome
+    }
+}
+
+/// Log an event if it falls inside the observation window.
+fn emit<S: EventSink>(
+    log: &mut NetLogger<S>,
+    window: u64,
+    time: u64,
+    source: SourceRef,
+    event_type: EventType,
+    phase: EventPhase,
+    params: ParamsView<'_>,
+) {
+    if time < window {
+        log.emit(time, source, event_type, phase, params);
+    }
+}
+
+/// Log a terminal failure, respecting the window clamp.
+fn fail<S: EventSink>(
+    log: &mut NetLogger<S>,
+    window: u64,
+    source: SourceRef,
+    at: u64,
+    err: NetError,
+) {
+    emit(
+        log,
+        window,
+        at,
+        source,
+        EventType::FailedRequest,
+        EventPhase::None,
+        ParamsView::Failed {
+            net_error: err.code(),
+        },
+    );
+    emit(
+        log,
+        window,
+        at,
+        source,
+        EventType::RequestAlive,
+        EventPhase::End,
+        ParamsView::None,
+    );
+}
+
+/// One visit in progress: the fabric it talks to, the logger its
+/// telemetry goes to and the scratch buffer for connect addresses.
+struct Page<'a, S> {
+    net: &'a mut SimNet,
+    host_env: &'a HostEnv,
+    log: &'a mut NetLogger<S>,
+    address: &'a mut String,
+    config: &'a BrowserConfig,
+    seed: u64,
+    window: u64,
+}
+
+impl<S: EventSink> Page<'_, S> {
+    /// Log an event if it falls inside the observation window.
+    fn emit(
+        &mut self,
+        time: u64,
+        source: SourceRef,
+        event_type: EventType,
+        phase: EventPhase,
+        params: ParamsView<'_>,
+    ) {
+        emit(
+            self.log,
+            self.window,
+            time,
+            source,
+            event_type,
+            phase,
+            params,
+        );
+    }
+
+    /// Log a terminal failure, respecting the window clamp.
+    fn fail(&mut self, source: SourceRef, at: u64, err: NetError) {
+        fail(self.log, self.window, source, at, err);
     }
 
     /// An injected transient resolver flap: the DNS query for the
     /// landing host never answers and the load times out.
-    fn flapped_dns_visit(
-        &mut self,
-        mut log: NetLogger,
-        site: &WebSite,
-        landing: &Url,
-        window: u64,
-    ) -> VisitResult {
-        let source = log.new_source(SourceType::UrlRequest);
-        self.log_clamped(
-            &mut log,
+    fn flapped_dns_visit(&mut self, landing: Target<'_>) -> PageLoadOutcome {
+        let source = self.log.new_source(SourceType::UrlRequest);
+        self.emit(
             0,
             source,
             EventType::RequestAlive,
             EventPhase::Begin,
-            EventParams::None,
-            window,
+            ParamsView::None,
         );
-        self.log_clamped(
-            &mut log,
+        self.emit(
             0,
             source,
             EventType::UrlRequestStartJob,
             EventPhase::Begin,
-            EventParams::UrlRequestStart {
-                url: landing.to_string(),
-                method: "GET".to_string(),
+            ParamsView::UrlRequestStart {
+                url: landing.text,
+                method: "GET",
                 initiator: None,
                 load_flags: 0,
             },
-            window,
         );
-        self.log_clamped(
-            &mut log,
+        self.emit(
             0,
             source,
             EventType::HostResolverImplJob,
             EventPhase::Begin,
-            EventParams::DnsJob {
-                host: landing.host().to_string(),
-            },
-            window,
+            ParamsView::DnsJob { host: landing.host },
         );
         // Chrome's resolver gives up after its own timeout dance.
         const DNS_FLAP_TIMEOUT_MS: u64 = 4_000;
         self.fail(
-            &mut log,
             source,
-            DNS_FLAP_TIMEOUT_MS.min(window.saturating_sub(1)),
+            DNS_FLAP_TIMEOUT_MS.min(self.window.saturating_sub(1)),
             NetError::TimedOut,
-            window,
         );
-        VisitResult {
-            domain: site.domain.as_str().to_string(),
-            outcome: PageLoadOutcome::Failed(NetError::TimedOut),
-            capture: log.into_capture(),
-        }
+        PageLoadOutcome::Failed(NetError::TimedOut)
     }
 
     /// Execute the page's content: ordinary resources + behaviours.
     fn run_page(
         &mut self,
-        log: &mut NetLogger,
         site: &WebSite,
-        landing: &Url,
+        landing: Target<'_>,
         load_end: u64,
-        window: u64,
+        initiator: &mut String,
+        url: &mut String,
+        jobs: &mut Vec<Job>,
     ) {
-        let initiator = format!("{}://{}", landing.scheme(), landing.host());
+        initiator.clear();
+        write!(initiator, "{}://{}", landing.url.scheme(), landing.host).expect("write to String");
+        let seed = self.seed;
+        let config = self.config;
         // The site's anti-bot sensor (if any) fingerprints this visit
         // and decides what happens to the local behaviours below. No
         // sensor means the page runs unmodified.
         let gate = site
             .sensor
-            .map(|s| s.gate(self.seed, self.config.profile, site.domain.as_str()))
+            .map(|s| s.gate(seed, config.profile, site.domain.as_str()))
             .unwrap_or(SensorGate::Pass);
-        // Ordinary public resources: half same-origin, half from the
-        // shared CDNs, spread over the first ~12 s.
-        struct Job {
-            url: Url,
-            channel: Channel,
-            at: u64,
-        }
-        let mut jobs: Vec<Job> = Vec::new();
+        // Ordinary public resources: half from the shared CDNs, half
+        // same-origin, spread over the first ~12 s.
+        jobs.clear();
         for i in 0..site.public_resources {
-            let label = format!("pubres:{}:{i}", site.domain);
-            let delay = 100 + hash(self.seed, &label) % 12_000;
-            let url = if i % 2 == 0 {
-                let host = CDN_HOSTS[(hash(self.seed, &label) >> 32) as usize % CDN_HOSTS.len()];
-                Url::parse(&format!("https://{host}/lib/resource{i}.js")).expect("static url")
+            let h = hash(seed, format_args!("pubres:{}:{i}", site.domain));
+            let target = if i % 2 == 0 {
+                JobTarget::Cdn {
+                    host: (h >> 32) as usize % CDN_HOSTS.len(),
+                    i,
+                }
             } else {
-                Url::from_parts(
-                    landing.scheme(),
-                    landing.host().clone(),
-                    None,
-                    &format!("/static/asset{i}.css"),
-                )
+                JobTarget::Asset { i }
             };
             jobs.push(Job {
-                url,
+                target,
                 channel: Channel::Fetch,
-                at: load_end + delay,
+                at: load_end + 100 + h % 12_000,
             });
         }
         // Behaviour jobs run through the sensor gate: a Suppress or
@@ -300,9 +476,9 @@ impl<'w> Browser<'w> {
         };
         let behaviors_run = !matches!(gate, SensorGate::Suppress | SensorGate::Challenge);
         if behaviors_run {
-            for planned in site.planned_requests(self.config.os) {
+            for planned in site.planned_requests(config.os) {
                 jobs.push(Job {
-                    url: planned.url,
+                    target: JobTarget::Planned(planned.url),
                     channel: planned.channel,
                     at: load_end + planned.delay_ms + extra_delay_ms,
                 });
@@ -312,72 +488,64 @@ impl<'w> Browser<'w> {
             // BIG-IP-ASM-style interstitial: the detected crawler is
             // handed a same-origin challenge fetch instead of the page.
             jobs.push(Job {
-                url: Url::from_parts(
-                    landing.scheme(),
-                    landing.host().clone(),
-                    None,
-                    "/TSPD/08e8ab5bacab2000?type=7",
-                ),
+                target: JobTarget::Challenge,
                 channel: Channel::Fetch,
                 at: load_end + 250,
             });
         }
-        if self.config.crawl_internal && behaviors_run {
+        if config.crawl_internal && behaviors_run {
             // Deep crawl: the crawler navigates to an internal page
             // (e.g. /login) shortly after the landing page settles and
             // stays inside the same observation window.
             const INTERNAL_NAV_MS: u64 = 1_500;
-            for planned in site.planned_internal_requests(self.config.os) {
+            for planned in site.planned_internal_requests(config.os) {
                 jobs.push(Job {
-                    url: planned.url,
+                    target: JobTarget::Planned(planned.url),
                     channel: planned.channel,
                     at: load_end + INTERNAL_NAV_MS + planned.delay_ms + extra_delay_ms,
                 });
             }
         }
         jobs.sort_by_key(|j| j.at);
-        for job in jobs {
-            if job.at >= window {
+        for job in jobs.iter() {
+            if job.at >= self.window {
                 continue; // the window closed before this fired
             }
+            url.clear();
+            job.target.write_url(url, landing).expect("write to String");
+            let target = Target::parse(url);
             // Private Network Access enforcement (§5.3): a request into
             // a more-private address space needs a secure initiating
             // context and a preflight opt-in. Blocked requests are
             // aborted before any socket work, but the attempt is still
             // visible in telemetry (URL_REQUEST + ERR_ABORTED).
-            if self.pna_blocks(landing, &job.url) {
-                let source = log.new_source(SourceType::UrlRequest);
-                self.log_clamped(
-                    log,
+            if self.pna_blocks(landing, target) {
+                let source = self.log.new_source(SourceType::UrlRequest);
+                self.emit(
                     job.at,
                     source,
                     EventType::UrlRequestStartJob,
                     EventPhase::Begin,
-                    EventParams::UrlRequestStart {
-                        url: job.url.to_string(),
-                        method: "GET".to_string(),
-                        initiator: Some(initiator.clone()),
+                    ParamsView::UrlRequestStart {
+                        url: target.text,
+                        method: "GET",
+                        initiator: Some(initiator),
                         load_flags: 0,
                     },
-                    window,
                 );
-                self.fail(log, source, job.at, NetError::Aborted, window);
+                self.fail(source, job.at, NetError::Aborted);
                 continue;
             }
             match job.channel {
                 Channel::Fetch | Channel::Iframe => {
-                    let _ = self.fetch_http(log, &job.url, job.at, Some(&initiator), window);
+                    let _ = self.fetch_http(target, job.at, Some(initiator));
                 }
-                Channel::WebSocket => {
-                    self.open_websocket(log, &job.url, job.at, window);
-                }
-                Channel::Redirect => {
-                    self.redirect_document(log, landing, &job.url, job.at, window);
-                }
+                Channel::WebSocket => self.open_websocket(target, job.at),
+                Channel::Redirect => self.redirect_document(landing, target, job.at),
             }
         }
         if let SensorGate::Ice { mdns } = gate {
-            self.gather_ice_candidates(log, site, load_end, window, mdns);
+            self.gather_ice_candidates(site, load_end, mdns);
         }
     }
 
@@ -387,77 +555,79 @@ impl<'w> Browser<'w> {
     /// name, an undetected one the raw private address. The candidates
     /// ride a P2P socket source, not a URL request, so they are a
     /// second local-discovery channel entirely outside the HTTP path.
-    fn gather_ice_candidates(
-        &mut self,
-        log: &mut NetLogger,
-        site: &WebSite,
-        load_end: u64,
-        window: u64,
-        mdns: bool,
-    ) {
-        let domain = site.domain.as_str();
-        let h = hash(self.seed, &format!("ice:{domain}"));
-        let source = log.new_source(SourceType::P2pSocket);
+    fn gather_ice_candidates(&mut self, site: &WebSite, load_end: u64, mdns: bool) {
+        let h = hash(self.seed, format_args!("ice:{}", site.domain));
+        let source = self.log.new_source(SourceType::P2pSocket);
         let port = 49_152 + (h % 16_000) as u16;
         let at = load_end + 800 + h % 1_200;
-        let address = if mdns {
-            format!(
+        self.address.clear();
+        if mdns {
+            write!(
+                self.address,
                 "{:08x}-{:04x}-{:04x}.local:{port}",
                 h as u32,
                 (h >> 32) as u16,
                 (h >> 48) as u16
             )
         } else {
-            format!("192.168.{}.{}:{port}", (h >> 8) % 256, 1 + (h >> 16) % 254)
-        };
-        self.log_clamped(
-            log,
+            write!(
+                self.address,
+                "192.168.{}.{}:{port}",
+                (h >> 8) % 256,
+                1 + (h >> 16) % 254
+            )
+        }
+        .expect("write to String");
+        emit(
+            self.log,
+            self.window,
             at,
             source,
             EventType::IceCandidateGathered,
             EventPhase::None,
-            EventParams::IceCandidate {
-                address,
-                candidate_type: "host".to_string(),
+            ParamsView::IceCandidate {
+                address: self.address,
+                candidate_type: "host",
             },
-            window,
         );
         // The server-reflexive candidate: the visitor's public address
         // as seen by the STUN server — never local, present so the
         // detector has to discriminate by locality, not by event kind.
-        self.log_clamped(
-            log,
+        self.address.clear();
+        write!(self.address, "203.0.113.{}:3478", 1 + (h >> 24) % 254).expect("write to String");
+        emit(
+            self.log,
+            self.window,
             at + 60,
             source,
             EventType::IceCandidateGathered,
             EventPhase::None,
-            EventParams::IceCandidate {
-                address: format!("203.0.113.{}:3478", 1 + (h >> 24) % 254),
-                candidate_type: "srflx".to_string(),
+            ParamsView::IceCandidate {
+                address: self.address,
+                candidate_type: "srflx",
             },
-            window,
         );
     }
 
     /// True if the configured PNA mode blocks a request from the
     /// landing page's context to `target`.
-    fn pna_blocks(&self, landing: &Url, target: &Url) -> bool {
+    fn pna_blocks(&self, landing: Target<'_>, target: Target<'_>) -> bool {
         let preflight = match self.config.pna {
             PnaMode::Off => return false,
             PnaMode::EnforceNoOptIn => PreflightResult::Denied,
             PnaMode::EnforceFullOptIn => PreflightResult::Approved,
             PnaMode::EnforceNativeOptIn => {
-                if target.locality().is_loopback() && is_native_app_port(target.port()) {
+                if target.url.locality().is_loopback() && is_native_app_port(target.url.port()) {
                     PreflightResult::Approved
                 } else {
                     PreflightResult::Denied
                 }
             }
         };
-        let verdict = pna::decide(
-            AddressSpace::of_url(landing),
-            landing.scheme().is_secure(),
-            target,
+        let verdict = pna::decide_space(
+            AddressSpace::of_locality(landing.url.locality()),
+            landing.url.scheme().is_secure(),
+            AddressSpace::of_locality(target.url.locality()),
             preflight,
         );
         !verdict.permits()
@@ -467,42 +637,35 @@ impl<'w> Browser<'w> {
     /// Returns `Err` with the mapped net error on resolution failure.
     fn resolve_host(
         &mut self,
-        log: &mut NetLogger,
         source: SourceRef,
-        url: &Url,
+        target: Target<'_>,
         at: u64,
-        window: u64,
-    ) -> Result<(std::net::IpAddr, u64), NetError> {
-        match url.host() {
-            Host::Ipv4(ip) => Ok((std::net::IpAddr::V4(*ip), at)),
-            Host::Ipv6(ip) => Ok((std::net::IpAddr::V6(*ip), at)),
-            Host::Domain(d) if d.is_localhost() => {
+    ) -> Result<(IpAddr, u64), NetError> {
+        match target.url.host() {
+            HostView::Ipv4(ip) => Ok((IpAddr::V4(*ip), at)),
+            HostView::Ipv6(ip) => Ok((IpAddr::V6(*ip), at)),
+            HostView::Domain(d) if d.is_localhost() => {
                 // let-localhost-be-localhost: no DNS query issued.
-                Ok((std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST), at))
+                Ok((IpAddr::V4(Ipv4Addr::LOCALHOST), at))
             }
-            Host::Domain(d) => {
-                let dns_ms = self.world.net.latency().dns_ms(d.as_str());
-                self.log_clamped(
-                    log,
+            HostView::Domain(d) => {
+                let name = d.as_str();
+                let dns_ms = self.net.latency().dns_ms(name);
+                self.emit(
                     at,
                     source,
                     EventType::HostResolverImplJob,
                     EventPhase::Begin,
-                    EventParams::DnsJob {
-                        host: d.as_str().to_string(),
-                    },
-                    window,
+                    ParamsView::DnsJob { host: name },
                 );
-                let result = self.world.net.resolve(d.as_str(), at);
+                let result = self.net.resolve(name, at);
                 let end = at + dns_ms;
-                self.log_clamped(
-                    log,
+                self.emit(
                     end,
                     source,
                     EventType::HostResolverImplJob,
                     EventPhase::End,
-                    EventParams::None,
-                    window,
+                    ParamsView::None,
                 );
                 match result {
                     Ok(ip) => Ok((ip, end)),
@@ -520,201 +683,186 @@ impl<'w> Browser<'w> {
     /// One HTTP(S) fetch flow. Returns (end-time, status-or-error).
     fn fetch_http(
         &mut self,
-        log: &mut NetLogger,
-        url: &Url,
+        target: Target<'_>,
         at: u64,
         initiator: Option<&str>,
-        window: u64,
     ) -> (u64, Result<u16, NetError>) {
-        let source = log.new_source(SourceType::UrlRequest);
-        self.log_clamped(
-            log,
+        let source = self.log.new_source(SourceType::UrlRequest);
+        self.emit(
             at,
             source,
             EventType::RequestAlive,
             EventPhase::Begin,
-            EventParams::None,
-            window,
+            ParamsView::None,
         );
-        self.log_clamped(
-            log,
+        self.emit(
             at,
             source,
             EventType::UrlRequestStartJob,
             EventPhase::Begin,
-            EventParams::UrlRequestStart {
-                url: url.to_string(),
-                method: "GET".to_string(),
-                initiator: initiator.map(str::to_string),
+            ParamsView::UrlRequestStart {
+                url: target.text,
+                method: "GET",
+                initiator,
                 load_flags: 0,
             },
-            window,
         );
-        self.drive_transaction(log, source, url, at, window, 0)
+        self.drive_transaction(source, target, at, 0)
     }
 
     /// Connect + transact for an already-started flow (shared by plain
     /// fetches and post-redirect continuations).
     fn drive_transaction(
         &mut self,
-        log: &mut NetLogger,
         source: SourceRef,
-        url: &Url,
+        target: Target<'_>,
         at: u64,
-        window: u64,
         redirect_depth: u8,
     ) -> (u64, Result<u16, NetError>) {
-        let (ip, t_resolved) = match self.resolve_host(log, source, url, at, window) {
+        let (ip, t_resolved) = match self.resolve_host(source, target, at) {
             Ok(pair) => pair,
             Err(err) => {
-                self.fail(log, source, t_after_dns_failure(at), err, window);
+                self.fail(source, t_after_dns_failure(at), err);
                 return (t_after_dns_failure(at), Err(err));
             }
         };
-        let port = url.port();
-        let address = format!("{ip}:{port}");
-        self.log_clamped(
-            log,
+        let port = target.url.port();
+        let window = self.window;
+        self.address.clear();
+        write!(self.address, "{ip}:{port}").expect("write to String");
+        emit(
+            self.log,
+            window,
             t_resolved,
             source,
             EventType::TcpConnectAttempt,
             EventPhase::Begin,
-            EventParams::Connect {
-                address: address.clone(),
+            ParamsView::Connect {
+                address: self.address,
             },
-            window,
         );
-        let sni = if url.scheme().is_secure() {
-            Some(url.host().to_string())
-        } else {
-            None
-        };
-        let outcome = self
-            .world
-            .net
-            .connect(&self.world.host_env, ip, port, sni.as_deref());
+        let secure = target.url.scheme().is_secure();
+        let sni = secure.then_some(target.host);
+        let outcome = self.net.connect(self.host_env, ip, port, sni);
         match outcome {
             ConnectOutcome::Established {
                 connect_ms,
                 tls_ms,
                 endpoint,
             } => {
+                let log = &mut *self.log;
                 let t_conn = t_resolved + connect_ms;
-                self.log_clamped(
+                emit(
                     log,
+                    window,
                     t_conn,
                     source,
                     EventType::TcpConnect,
                     EventPhase::End,
-                    EventParams::Connect { address },
-                    window,
+                    ParamsView::Connect {
+                        address: self.address,
+                    },
                 );
                 let mut t = t_conn;
-                if url.scheme().is_secure() {
+                if secure {
                     t += tls_ms;
-                    self.log_clamped(
+                    emit(
                         log,
+                        window,
                         t,
                         source,
                         EventType::SslConnect,
                         EventPhase::None,
-                        EventParams::Ssl {
-                            host: url.host().to_string(),
-                        },
-                        window,
+                        ParamsView::Ssl { host: target.host },
                     );
                 }
-                self.log_clamped(
+                emit(
                     log,
+                    window,
                     t,
                     source,
                     EventType::HttpTransactionSendRequest,
                     EventPhase::None,
-                    EventParams::None,
-                    window,
+                    ParamsView::None,
                 );
-                match endpoint.behavior {
+                match &endpoint.behavior {
                     ServerBehavior::Http(resp) => {
-                        let t_resp = t + self.world.net.latency().response_ms(&url.to_string());
+                        let t_resp = t + self.net.latency().response_ms(target.text);
+                        let status = resp.status;
                         if let Some(location) = &resp.redirect_to {
-                            self.log_clamped(
+                            emit(
                                 log,
+                                window,
                                 t_resp,
                                 source,
                                 EventType::UrlRequestRedirected,
                                 EventPhase::None,
-                                EventParams::Redirect {
-                                    location: location.clone(),
-                                },
-                                window,
+                                ParamsView::Redirect { location },
                             );
                             if redirect_depth < 3 {
                                 if let Ok(next) = Url::parse(location) {
+                                    let next = next.to_string();
                                     return self.drive_transaction(
-                                        log,
                                         source,
-                                        &next,
+                                        Target::parse(&next),
                                         t_resp,
-                                        window,
                                         redirect_depth + 1,
                                     );
                                 }
                             }
                         }
-                        self.log_clamped(
+                        emit(
                             log,
+                            window,
                             t_resp,
                             source,
                             EventType::HttpTransactionReadHeaders,
                             EventPhase::None,
-                            EventParams::ResponseHeaders {
-                                status: resp.status,
-                            },
-                            window,
+                            ParamsView::ResponseHeaders { status },
                         );
-                        self.log_clamped(
+                        emit(
                             log,
+                            window,
                             t_resp,
                             source,
                             EventType::RequestAlive,
                             EventPhase::End,
-                            EventParams::None,
-                            window,
+                            ParamsView::None,
                         );
-                        (t_resp, Ok(resp.status))
+                        (t_resp, Ok(status))
                     }
                     ServerBehavior::WebSocket => {
                         // Plain HTTP against a WebSocket-only service:
                         // the handshake is rejected.
                         let t_resp = t + 5;
-                        self.log_clamped(
+                        emit(
                             log,
+                            window,
                             t_resp,
                             source,
                             EventType::HttpTransactionReadHeaders,
                             EventPhase::None,
-                            EventParams::ResponseHeaders { status: 400 },
-                            window,
+                            ParamsView::ResponseHeaders { status: 400 },
                         );
-                        self.log_clamped(
+                        emit(
                             log,
+                            window,
                             t_resp,
                             source,
                             EventType::RequestAlive,
                             EventPhase::End,
-                            EventParams::None,
-                            window,
+                            ParamsView::None,
                         );
                         (t_resp, Ok(400))
                     }
                     ServerBehavior::ResetOnRequest => {
                         let t_fail = t + 3;
-                        self.fail(log, source, t_fail, NetError::ConnectionReset, window);
+                        fail(log, window, source, t_fail, NetError::ConnectionReset);
                         (t_fail, Err(NetError::ConnectionReset))
                     }
                     ServerBehavior::EmptyResponse => {
                         let t_fail = t + 4;
-                        self.fail(log, source, t_fail, NetError::EmptyResponse, window);
+                        fail(log, window, source, t_fail, NetError::EmptyResponse);
                         (t_fail, Err(NetError::EmptyResponse))
                     }
                     ServerBehavior::Refused | ServerBehavior::Blackhole => {
@@ -724,7 +872,7 @@ impl<'w> Browser<'w> {
             }
             ConnectOutcome::Refused { elapsed_ms } => {
                 let t_fail = t_resolved + elapsed_ms;
-                self.fail(log, source, t_fail, NetError::ConnectionRefused, window);
+                self.fail(source, t_fail, NetError::ConnectionRefused);
                 (t_fail, Err(NetError::ConnectionRefused))
             }
             ConnectOutcome::TimedOut { elapsed_ms } => {
@@ -734,7 +882,7 @@ impl<'w> Browser<'w> {
                     // (no terminal event), exactly like a real capture.
                     (window, Err(NetError::TimedOut))
                 } else {
-                    self.fail(log, source, t_fail, NetError::TimedOut, window);
+                    self.fail(source, t_fail, NetError::TimedOut);
                     (t_fail, Err(NetError::TimedOut))
                 }
             }
@@ -749,49 +897,38 @@ impl<'w> Browser<'w> {
                     CertVerdict::Ok => unreachable!("Ok is not an error"),
                 };
                 let t_fail = t_resolved + elapsed_ms;
-                self.fail(log, source, t_fail, err, window);
+                self.fail(source, t_fail, err);
                 (t_fail, Err(err))
             }
             ConnectOutcome::TlsProtocolError { elapsed_ms } => {
                 let t_fail = t_resolved + elapsed_ms;
-                self.fail(log, source, t_fail, NetError::SslProtocolError, window);
+                self.fail(source, t_fail, NetError::SslProtocolError);
                 (t_fail, Err(NetError::SslProtocolError))
             }
         }
     }
 
     /// One WebSocket channel.
-    fn open_websocket(&mut self, log: &mut NetLogger, url: &Url, at: u64, window: u64) {
-        let source = log.new_source(SourceType::WebSocket);
-        self.log_clamped(
-            log,
+    fn open_websocket(&mut self, target: Target<'_>, at: u64) {
+        let source = self.log.new_source(SourceType::WebSocket);
+        self.emit(
             at,
             source,
             EventType::WebSocketSendRequestHeaders,
             EventPhase::Begin,
-            EventParams::WebSocket {
-                url: url.to_string(),
-            },
-            window,
+            ParamsView::WebSocket { url: target.text },
         );
-        let (ip, t_resolved) = match self.resolve_host(log, source, url, at, window) {
+        let (ip, t_resolved) = match self.resolve_host(source, target, at) {
             Ok(pair) => pair,
             Err(err) => {
-                self.fail(log, source, t_after_dns_failure(at), err, window);
+                self.fail(source, t_after_dns_failure(at), err);
                 return;
             }
         };
-        let port = url.port();
-        let sni = if url.scheme().is_secure() {
-            Some(url.host().to_string())
-        } else {
-            None
-        };
-        let outcome = self
-            .world
-            .net
-            .connect(&self.world.host_env, ip, port, sni.as_deref());
-        match outcome {
+        let sni = target.url.scheme().is_secure().then_some(target.host);
+        let window = self.window;
+        let log = &mut *self.log;
+        match self.net.connect(self.host_env, ip, target.url.port(), sni) {
             ConnectOutcome::Established {
                 connect_ms,
                 tls_ms,
@@ -800,166 +937,95 @@ impl<'w> Browser<'w> {
                 let t = t_resolved + connect_ms + tls_ms;
                 match endpoint.behavior {
                     ServerBehavior::WebSocket => {
-                        self.log_clamped(
-                            log,
+                        let mut at = |time, event_type, phase, params| {
+                            emit(log, window, time, source, event_type, phase, params)
+                        };
+                        at(
                             t,
-                            source,
                             EventType::WebSocketReadResponseHeaders,
                             EventPhase::End,
-                            EventParams::WebSocket {
-                                url: url.to_string(),
-                            },
-                            window,
+                            ParamsView::WebSocket { url: target.text },
                         );
                         // A short exchange: the page reads what it can
                         // (WebSockets are SOP-exempt).
-                        self.log_clamped(
-                            log,
+                        at(
                             t + 10,
-                            source,
                             EventType::WebSocketSentFrame,
                             EventPhase::None,
-                            EventParams::WebSocketFrame { length: 64 },
-                            window,
+                            ParamsView::WebSocketFrame { length: 64 },
                         );
-                        self.log_clamped(
-                            log,
+                        at(
                             t + 25,
-                            source,
                             EventType::WebSocketRecvFrame,
                             EventPhase::None,
-                            EventParams::WebSocketFrame { length: 256 },
-                            window,
+                            ParamsView::WebSocketFrame { length: 256 },
                         );
-                        self.log_clamped(
-                            log,
+                        at(
                             t + 40,
-                            source,
                             EventType::SocketClosed,
                             EventPhase::None,
-                            EventParams::None,
-                            window,
+                            ParamsView::None,
                         );
                     }
                     _ => {
                         // An HTTP(-ish) service that does not upgrade.
-                        let t_fail = t + 5;
-                        self.fail(log, source, t_fail, NetError::EmptyResponse, window);
+                        fail(log, window, source, t + 5, NetError::EmptyResponse);
                     }
                 }
             }
             ConnectOutcome::Refused { elapsed_ms } => {
-                self.fail(
+                fail(
                     log,
+                    window,
                     source,
                     t_resolved + elapsed_ms,
                     NetError::ConnectionRefused,
-                    window,
                 );
             }
             ConnectOutcome::TimedOut { elapsed_ms } => {
                 let t_fail = t_resolved + elapsed_ms;
                 if t_fail < window {
-                    self.fail(log, source, t_fail, NetError::TimedOut, window);
+                    fail(log, window, source, t_fail, NetError::TimedOut);
                 }
             }
             ConnectOutcome::CertError { elapsed_ms, .. }
             | ConnectOutcome::TlsProtocolError { elapsed_ms } => {
-                self.fail(
+                fail(
                     log,
+                    window,
                     source,
                     t_resolved + elapsed_ms,
                     NetError::SslProtocolError,
-                    window,
                 );
             }
         }
     }
 
     /// A top-level redirect of the landing page to `target`.
-    fn redirect_document(
-        &mut self,
-        log: &mut NetLogger,
-        landing: &Url,
-        target: &Url,
-        at: u64,
-        window: u64,
-    ) {
-        let source = log.new_source(SourceType::UrlRequest);
-        self.log_clamped(
-            log,
+    fn redirect_document(&mut self, landing: Target<'_>, target: Target<'_>, at: u64) {
+        let source = self.log.new_source(SourceType::UrlRequest);
+        self.emit(
             at,
             source,
             EventType::UrlRequestStartJob,
             EventPhase::Begin,
-            EventParams::UrlRequestStart {
-                url: landing.to_string(),
-                method: "GET".to_string(),
+            ParamsView::UrlRequestStart {
+                url: landing.text,
+                method: "GET",
                 initiator: None,
                 load_flags: 0,
             },
-            window,
         );
-        self.log_clamped(
-            log,
+        self.emit(
             at,
             source,
             EventType::UrlRequestRedirected,
             EventPhase::None,
-            EventParams::Redirect {
-                location: target.to_string(),
+            ParamsView::Redirect {
+                location: target.text,
             },
-            window,
         );
-        let _ = self.drive_transaction(log, source, target, at, window, 1);
-    }
-
-    /// Log a terminal failure, respecting the window clamp.
-    fn fail(
-        &mut self,
-        log: &mut NetLogger,
-        source: SourceRef,
-        at: u64,
-        err: NetError,
-        window: u64,
-    ) {
-        self.log_clamped(
-            log,
-            at,
-            source,
-            EventType::FailedRequest,
-            EventPhase::None,
-            EventParams::Failed {
-                net_error: err.code(),
-            },
-            window,
-        );
-        self.log_clamped(
-            log,
-            at,
-            source,
-            EventType::RequestAlive,
-            EventPhase::End,
-            EventParams::None,
-            window,
-        );
-    }
-
-    /// Log only if the event falls inside the observation window.
-    #[allow(clippy::too_many_arguments)]
-    fn log_clamped(
-        &mut self,
-        log: &mut NetLogger,
-        time: u64,
-        source: SourceRef,
-        event_type: EventType,
-        phase: EventPhase,
-        params: EventParams,
-        window: u64,
-    ) {
-        if time < window {
-            log.log(time, source, event_type, phase, params);
-        }
+        let _ = self.drive_transaction(source, target, at, 1);
     }
 }
 

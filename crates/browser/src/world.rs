@@ -29,12 +29,26 @@ pub const CDN_HOSTS: [&str; 4] = [
 ];
 
 /// One OS-specific crawlable world.
+///
+/// A crawl worker keeps one world and [`reset_for`](World::reset_for)s
+/// it per site instead of building a new one: the CDN hosts and the
+/// visitor machine stay, only the site's records are swapped. The
+/// world also carries the browser's per-visit scratch buffers, so a
+/// reused world lets visits run without allocating them again.
 #[derive(Debug)]
 pub struct World {
     /// The public Internet.
     pub net: SimNet,
     /// The visitor machine.
     pub host_env: HostEnv,
+    os: Os,
+    seed: u64,
+    /// The CDN hosts' addresses, the endpoints every reset keeps.
+    cdn_ips: [IpAddr; CDN_HOSTS.len()],
+    /// True when the installed site overwrote a CDN record, so a reset
+    /// must rebuild the network rather than prune it.
+    base_dirty: bool,
+    pub(crate) scratch: crate::visit::Scratch,
 }
 
 /// Deterministic public IPv4 for a domain (never loopback/private).
@@ -58,21 +72,68 @@ pub fn public_ip_for(domain: &str, seed: u64) -> Ipv4Addr {
 impl World {
     /// Build the world for a slice of sites on one OS.
     pub fn build(sites: &[WebSite], os: Os, seed: u64) -> World {
+        let cdn_ips = CDN_HOSTS.map(|host| IpAddr::V4(public_ip_for(host, seed)));
+        let mut world = World {
+            net: Self::base_net(seed, &cdn_ips),
+            host_env: HostEnv::sampled(os, seed ^ os.letter() as u64),
+            os,
+            seed,
+            cdn_ips,
+            base_dirty: false,
+            scratch: Default::default(),
+        };
+        for site in sites {
+            world.install(site);
+        }
+        world
+    }
+
+    /// Make this world exactly what `World::build(&[site], os, seed)`
+    /// would build for its OS and seed — the same records, an empty
+    /// DNS cache, zeroed counters — keeping the CDN hosts, the visitor
+    /// machine and the scratch buffers.
+    pub fn reset_for(&mut self, site: &WebSite) {
+        if self.base_dirty {
+            self.net = Self::base_net(self.seed, &self.cdn_ips);
+            self.base_dirty = false;
+        } else {
+            let cdn_ips = self.cdn_ips;
+            self.net.retain(
+                |name| CDN_HOSTS.contains(&name),
+                |ip, _| cdn_ips.contains(&ip),
+            );
+        }
+        self.install(site);
+    }
+
+    /// The network holding only the shared CDN hosts, which always
+    /// resolve and answer.
+    fn base_net(seed: u64, cdn_ips: &[IpAddr; CDN_HOSTS.len()]) -> SimNet {
         let mut net = SimNet::new(seed);
-        // Shared CDN hosts always resolve and answer.
-        for host in CDN_HOSTS {
-            let ip = IpAddr::V4(public_ip_for(host, seed));
+        for (host, &ip) in CDN_HOSTS.iter().zip(cdn_ips) {
             net.dns.insert(host, DnsRecord::A(ip));
             net.bind(ip, 443, Endpoint::https(host, HttpResponse::ok(4096)));
             net.bind(ip, 80, Endpoint::http(HttpResponse::ok(4096)));
         }
-        for site in sites {
-            Self::install_site(&mut net, site, os, seed);
+        net
+    }
+
+    /// Install one site, noting whether it overwrote a CDN record.
+    fn install(&mut self, site: &WebSite) {
+        let touches_base = |name: &str| {
+            CDN_HOSTS.contains(&name)
+                || self
+                    .cdn_ips
+                    .contains(&IpAddr::V4(public_ip_for(name, self.seed)))
+        };
+        let mut vendors = site.behaviors.iter().filter_map(|p| match &p.behavior {
+            Behavior::ThreatMetrix { vendor } => Some(vendor.as_str()),
+            _ => None,
+        });
+        if touches_base(site.domain.as_str()) || vendors.any(touches_base) {
+            self.base_dirty = true;
         }
-        World {
-            net,
-            host_env: HostEnv::sampled(os, seed ^ os.letter() as u64),
-        }
+        Self::install_site(&mut self.net, site, self.os, self.seed);
     }
 
     /// Install one site's fate and supporting infrastructure.
@@ -171,17 +232,21 @@ impl World {
 
     /// The landing-page URL for a site.
     pub fn landing_url(site: &WebSite) -> Url {
-        let scheme = if site.https {
-            Scheme::Https
-        } else {
-            Scheme::Http
-        };
         Url::from_parts(
-            scheme,
+            Self::landing_scheme(site),
             kt_netbase::Host::Domain(site.domain.clone()),
             None,
             "/",
         )
+    }
+
+    /// The scheme a site's landing page is served over.
+    pub(crate) fn landing_scheme(site: &WebSite) -> Scheme {
+        if site.https {
+            Scheme::Https
+        } else {
+            Scheme::Http
+        }
     }
 }
 
@@ -276,6 +341,31 @@ mod tests {
         let mut w_win = World::build(std::slice::from_ref(&s), Os::Windows, 1);
         assert!(w_mac.net.resolve("flappy.example", 0).is_err());
         assert!(w_win.net.resolve("flappy.example", 0).is_ok());
+    }
+
+    #[test]
+    fn a_reset_world_answers_like_a_fresh_one_after_a_site_shadowed_a_cdn_host() {
+        // A site named like a CDN host overwrites that host's record;
+        // the next reset must bring the CDN record back.
+        let shadow = site(CDN_HOSTS[0], Availability::NxDomain);
+        let plain = site("plain.example", Availability::Up);
+        let mut world = World::build(&[], Os::Linux, 3);
+        world.reset_for(&shadow);
+        assert!(world.net.resolve(CDN_HOSTS[0], 0).is_err());
+        world.reset_for(&plain);
+        let mut fresh = World::build(std::slice::from_ref(&plain), Os::Linux, 3);
+        for name in [CDN_HOSTS[0], "plain.example"] {
+            assert_eq!(
+                world.net.resolve(name, 0),
+                fresh.net.resolve(name, 0),
+                "{name}"
+            );
+        }
+        assert_eq!(world.net.endpoint_count(), fresh.net.endpoint_count());
+        assert_eq!(
+            world.net.dns.authoritative_queries,
+            fresh.net.dns.authoritative_queries
+        );
     }
 
     #[test]

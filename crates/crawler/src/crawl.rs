@@ -2,10 +2,11 @@
 //!
 //! Workers share one work-stealing job queue (a [`JobTicket`] — an
 //! atomic cursor over the job slice): each worker claims the next
-//! unclaimed job, builds a per-site [`World`] (its own DNS cache and
-//! latency stream, like a separate VM), performs the paper's
-//! connectivity pre-check before every visit, runs the browser, and
-//! appends the visit record to the shared store. A worker bogged down
+//! unclaimed job, resets its reusable [`World`] to the site (its own
+//! DNS cache and latency stream, like a separate VM), performs the
+//! paper's connectivity pre-check before every visit, runs the browser
+//! with its telemetry streaming into the worker's record encoder, and
+//! appends the encoded record to the shared store. A worker bogged down
 //! in a retry-heavy site simply claims fewer jobs while its peers
 //! drain the queue — no chunk boundary ever serialises the campaign
 //! tail. The old static-chunk scheduler survives as
@@ -33,10 +34,10 @@
 use kt_browser::{Browser, BrowserConfig, CrawlerProfile, PageLoadOutcome, World};
 use kt_faults::{is_transient, Fault, FaultPlan, RetryPolicy, SalvagedVisit};
 use kt_netbase::Os;
-use kt_netlog::NetLogEvent;
+use kt_netlog::NetLogger;
 use kt_simnet::connectivity::{ConnectivityChecker, Outage};
 use kt_store::journal::{JournalWriter, FLAG_FINAL, FLAG_RECRAWL};
-use kt_store::{CrawlId, LoadOutcome, TelemetryStore, VisitRecord};
+use kt_store::{CrawlHandle, CrawlId, LoadOutcome, RecordHeader, TelemetryStore, VisitEncoder};
 use kt_trace::{EventRecord, SpanRecord, SpanRing, Trace};
 use kt_webgen::WebSite;
 use std::cmp::Reverse;
@@ -47,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::observe::{set_stats_gauges, stats_sink, stats_sink_delta};
 use crate::queue::{JobTicket, PendingInjector};
 use crate::resume::ResumePlan;
-use crate::stats::CrawlStats;
+use crate::stats::{CrawlStats, StatsMark};
 
 /// One crawl work item.
 #[derive(Debug, Clone)]
@@ -116,13 +117,52 @@ pub const VISIT_WALL_MS: u64 = 21_000;
 /// growing without limit.
 const SPAN_RING_CAP: usize = 4_096;
 
-/// One attempt's result after panic isolation has run.
+/// One attempt's result after panic isolation has run. The attempt's
+/// events are in the workspace's encoder either way.
 enum AttemptEnd {
-    /// The browser returned: page outcome, landing domain, capture.
-    Outcome(PageLoadOutcome, String, Vec<NetLogEvent>),
-    /// The visit panicked; the events are the salvaged capture prefix
-    /// (empty when the panic payload carried none).
-    Crashed(Vec<NetLogEvent>),
+    /// The browser returned this page outcome.
+    Outcome(PageLoadOutcome),
+    /// The visit panicked; the encoder holds the salvaged capture
+    /// prefix (nothing when the panic was not a cooperative one).
+    Crashed,
+}
+
+/// One crawl worker's reusable visit state: the world it visits sites
+/// in, the encoder its visits stream their telemetry into, and the
+/// campaign's store handle. A pool worker resets the world per site
+/// (see [`World::reset_for`]) instead of building one per job, and
+/// every record it finishes is encoded once, into bytes the store
+/// appends and the journal frames as they are.
+#[derive(Debug)]
+pub struct Workspace {
+    world: World,
+    encoder: VisitEncoder,
+    crawl: CrawlHandle,
+}
+
+impl Workspace {
+    /// A workspace for `config`'s campaign appending to `store`. Its
+    /// world holds only the shared infrastructure until a pool job
+    /// installs its site.
+    pub fn new(config: &CrawlConfig, store: &TelemetryStore) -> Workspace {
+        Workspace::with_world(World::build(&[], config.os, config.seed), config, store)
+    }
+
+    /// A workspace over a world that already holds its sites: the
+    /// recrawl pass visits its whole queue in one world.
+    pub fn with_world(world: World, config: &CrawlConfig, store: &TelemetryStore) -> Workspace {
+        Workspace {
+            world,
+            encoder: VisitEncoder::new(),
+            crawl: store.crawl_handle(&config.crawl),
+        }
+    }
+
+    /// The codec bytes of the last record this workspace finished:
+    /// the bytes the store appended and the journal framed.
+    pub fn record(&self) -> &[u8] {
+        self.encoder.record()
+    }
 }
 
 /// Run one crawl campaign over `jobs`, appending to `store`.
@@ -446,16 +486,19 @@ fn wait_online(checker: &mut ConnectivityChecker, wall_ms: &mut u64, stats: &mut
 }
 
 /// One supervised browser attempt: looks up the visit's injected
-/// faults, runs the browser under `catch_unwind`, and converts a panic
-/// into a quarantined [`AttemptEnd::Crashed`] with whatever capture
-/// prefix the payload salvaged.
+/// faults, runs the browser under `catch_unwind` with its telemetry
+/// streaming into the workspace's encoder, and converts a panic into a
+/// quarantined [`AttemptEnd::Crashed`] over whatever capture prefix
+/// the encoder holds.
 fn attempt_visit(
-    world: &mut World,
+    ws: &mut Workspace,
     config: &CrawlConfig,
     site: &WebSite,
     attempt: u32,
 ) -> AttemptEnd {
     let faults = config.faults.visit_faults(site.domain.as_str(), attempt);
+    let Workspace { world, encoder, .. } = ws;
+    encoder.clear();
     // AssertUnwindSafe: the closure owns the browser; the world's only
     // cross-visit state (DNS cache, counters) is left at worst
     // harmlessly stale by a mid-visit panic, and the visit's whole
@@ -474,98 +517,87 @@ fn attempt_visit(
             },
             config.seed,
         );
-        browser.visit_faulted(site, &faults)
+        browser.visit_with(site, &faults, &mut NetLogger::with_sink(&mut *encoder))
     }));
     match outcome {
-        Ok(result) => AttemptEnd::Outcome(result.outcome, result.domain, result.capture.events),
+        Ok(outcome) => AttemptEnd::Outcome(outcome),
         Err(payload) => {
-            // A cooperative panic carries the capture prefix; anything
-            // else (a genuine bug) quarantines with an empty capture.
-            let events = match payload.downcast::<SalvagedVisit>() {
-                Ok(salvaged) => salvaged.events,
-                Err(_) => Vec::new(),
-            };
-            AttemptEnd::Crashed(events)
+            // A cooperative panic leaves the capture prefix in the
+            // encoder; anything else (a genuine bug) quarantines with
+            // an empty capture.
+            if !payload.is::<SalvagedVisit>() {
+                encoder.clear();
+            }
+            AttemptEnd::Crashed
         }
     }
 }
 
-/// Build one visit's telemetry record.
-fn make_record(
+/// Finish one visit's record and append it, retrying once when the
+/// fault plan injects a store-append failure (the retry, like a real
+/// fsync hiccup's, succeeds).
+fn append_record(
+    store: &TelemetryStore,
+    ws: &mut Workspace,
+    stats: &mut CrawlStats,
     config: &CrawlConfig,
     job: &CrawlJob<'_>,
-    domain: String,
-    outcome: LoadOutcome,
-    loaded_at_ms: u64,
-    events: Vec<NetLogEvent>,
-) -> VisitRecord {
-    VisitRecord {
-        crawl: config.crawl.clone(),
+    (outcome, loaded_at_ms): (LoadOutcome, u64),
+    attempt: u32,
+) {
+    let domain = job.site.domain.as_str();
+    if config
+        .faults
+        .injects(Fault::StoreAppendFailure, domain, attempt)
+    {
+        stats.store_retries += 1;
+    }
+    let record = ws.encoder.finish(&RecordHeader {
+        crawl: config.crawl.as_str(),
         domain,
         rank: job.site.rank,
         malicious_category: job.malicious_category,
         os: config.os,
         outcome,
         loaded_at_ms,
-        events,
-    }
-}
-
-/// Append one visit record, retrying once when the fault plan injects
-/// a store-append failure (the retry, like a real fsync hiccup's,
-/// succeeds).
-fn append_record(
-    store: &TelemetryStore,
-    stats: &mut CrawlStats,
-    config: &CrawlConfig,
-    record: &VisitRecord,
-    attempt: u32,
-) {
-    if config
-        .faults
-        .injects(Fault::StoreAppendFailure, &record.domain, attempt)
-    {
-        stats.store_retries += 1;
-    }
-    store.append(record);
+    });
+    store.append_encoded(ws.crawl, domain, config.os, record);
 }
 
 /// Frame one visit's terminal verdict in the write-ahead journal:
-/// the full record plus the stats delta accumulated since `before`
-/// (the snapshot taken when the job was claimed). Called *after* the
-/// stats mutations and store append of the terminal arm, so the delta
-/// captures everything the visit contributed — including retries and
-/// store-append retries. A [`Fault::ProcessKill`] drawn for this
-/// `(domain, attempt)` tears the frame mid-write and latches the
-/// journal's kill switch, exactly like power loss under the writer.
+/// the record the workspace just finished plus the stats delta
+/// accumulated since `before` (the mark taken when the job was
+/// claimed). Called *after* the stats mutations and store append of
+/// the terminal arm, so the delta captures everything the visit
+/// contributed — including retries and store-append retries. A
+/// [`Fault::ProcessKill`] drawn for this `(domain, attempt)` tears the
+/// frame mid-write and latches the journal's kill switch, exactly like
+/// power loss under the writer.
 #[allow(clippy::too_many_arguments)]
 fn journal_visit(
     journal: Option<&JournalWriter>,
+    ws: &Workspace,
     config: &CrawlConfig,
     stats: &CrawlStats,
-    before: &CrawlStats,
-    record: &VisitRecord,
+    before: &StatsMark,
+    domain: &str,
     cost_ms: u64,
     flags: u8,
     attempt: u32,
 ) {
     if let Some(journal) = journal {
         let delta = stats.delta_since(before, cost_ms);
-        let kill = config
-            .faults
-            .injects(Fault::ProcessKill, &record.domain, attempt);
-        journal.append_visit(record, &delta, flags, kill);
+        let kill = config.faults.injects(Fault::ProcessKill, domain, attempt);
+        journal.append_visit_encoded(ws.record(), &delta, flags, kill);
     }
 }
 
-/// One pool job's terminal outcome, for callers that need the record
-/// itself: the resident campaign service streams it into online
-/// aggregation; the batch pool drops it (the store already holds it).
+/// One pool job's terminal outcome. The terminal record itself is the
+/// workspace's [`Workspace::record`]: the resident campaign service
+/// streams it into online aggregation; the batch pool leaves it (the
+/// store already holds it).
 #[derive(Debug)]
 pub struct PoolJobEnd {
-    /// The terminal visit record (already appended to the store and,
-    /// when journaling, framed in the journal).
-    pub record: VisitRecord,
     /// The job's whole simulated cost: visits, backoffs, outage waits.
     pub cost_ms: u64,
     /// True when the site was parked for the end-of-campaign recrawl
@@ -576,8 +608,8 @@ pub struct PoolJobEnd {
 }
 
 /// Run one site through the supervised attempt loop — the unit of work
-/// a pool worker claims. Builds the per-site [`World`], runs the
-/// connectivity pre-check before every attempt, retries transient
+/// a pool worker claims. Resets the workspace's world to the site, runs
+/// the connectivity pre-check before every attempt, retries transient
 /// failures in place with deterministic backoff, appends the terminal
 /// record to the store, frames it in the journal, and records spans
 /// into `ring`. Mutates the caller's `stats` and `wall_ms` exactly as
@@ -594,6 +626,7 @@ pub fn run_pool_job(
     config: &CrawlConfig,
     store: &TelemetryStore,
     journal: Option<&JournalWriter>,
+    ws: &mut Workspace,
     checker: &mut ConnectivityChecker,
     stats: &mut CrawlStats,
     wall_ms: &mut u64,
@@ -601,93 +634,39 @@ pub fn run_pool_job(
     mut ring: Option<&mut SpanRing>,
 ) -> PoolJobEnd {
     let job_start_ms = *wall_ms;
-    // Snapshot for the journal's per-visit stats delta: everything
-    // this job adds to the tally lands between here and its terminal
-    // arm.
-    let before = stats.clone();
+    let domain = job.site.domain.as_str();
+    // Mark for the journal's per-visit stats delta: everything this
+    // job adds to the tally lands between here and its terminal arm.
+    let before = stats.mark();
     // A per-site world — its own DNS cache and latency stream, like a
-    // dedicated VM — built once per job and reused across that job's
+    // dedicated VM — reset once per job and reused across that job's
     // retries. Site fates are installed from (domain, seed) alone, so
     // a single-site world observes exactly what a whole-population
     // world would.
-    let mut world = World::build(std::slice::from_ref(job.site), config.os, config.seed);
+    ws.world.reset_for(job.site);
     let mut attempt: u32 = 0;
     loop {
         wait_online(checker, wall_ms, stats);
-        let end = attempt_visit(&mut world, config, job.site, attempt);
+        let end = attempt_visit(ws, config, job.site, attempt);
         *wall_ms += VISIT_WALL_MS;
-        match end {
-            AttemptEnd::Crashed(events) => {
+        // The terminal verdict: the record's outcome and load time,
+        // its journal flags and span status, and the failure to count
+        // once the record is stored.
+        let (record, flags, status, failure) = match end {
+            AttemptEnd::Crashed => {
                 // Quarantine immediately: a crash is a measurement
                 // artifact, not a website failure — no retries.
                 stats.record_crash();
-                let record = make_record(
-                    config,
-                    job,
-                    job.site.domain.as_str().to_string(),
-                    LoadOutcome::Crashed,
-                    0,
-                    events,
-                );
-                append_record(store, stats, config, &record, attempt);
-                journal_visit(
-                    journal,
-                    config,
-                    stats,
-                    &before,
-                    &record,
-                    *wall_ms - job_start_ms,
-                    FLAG_FINAL,
-                    attempt,
-                );
-                visit_span(
-                    ring.as_deref_mut(),
-                    worker_id,
-                    job_start_ms,
-                    *wall_ms,
-                    &record.domain,
-                    "crashed",
-                );
-                return PoolJobEnd {
-                    record,
-                    cost_ms: *wall_ms - job_start_ms,
-                    parked: false,
-                    status: "crashed",
-                };
+                ((LoadOutcome::Crashed, 0), FLAG_FINAL, "crashed", None)
             }
-            AttemptEnd::Outcome(PageLoadOutcome::Loaded { at_ms }, domain, events) => {
+            AttemptEnd::Outcome(PageLoadOutcome::Loaded { at_ms }) => {
                 stats.record_success();
                 if attempt > 0 {
                     stats.recovered += 1;
                 }
-                let record = make_record(config, job, domain, LoadOutcome::Success, at_ms, events);
-                append_record(store, stats, config, &record, attempt);
-                journal_visit(
-                    journal,
-                    config,
-                    stats,
-                    &before,
-                    &record,
-                    *wall_ms - job_start_ms,
-                    FLAG_FINAL,
-                    attempt,
-                );
-                visit_span(
-                    ring.as_deref_mut(),
-                    worker_id,
-                    job_start_ms,
-                    *wall_ms,
-                    &record.domain,
-                    "success",
-                );
-                return PoolJobEnd {
-                    record,
-                    cost_ms: *wall_ms - job_start_ms,
-                    parked: false,
-                    status: "success",
-                };
+                ((LoadOutcome::Success, at_ms), FLAG_FINAL, "success", None)
             }
-            AttemptEnd::Outcome(PageLoadOutcome::Failed(err), domain, events) => {
+            AttemptEnd::Outcome(PageLoadOutcome::Failed(err)) => {
                 let transient = is_transient(err);
                 if transient && attempt + 1 < config.retry.max_attempts {
                     stats.retries += 1;
@@ -696,49 +675,46 @@ pub fn run_pool_job(
                             name: "retry",
                             worker: worker_id as u32,
                             at_ms: *wall_ms,
-                            target: domain.clone(),
+                            target: domain.to_string(),
                             detail: err.name().to_string(),
                         });
                     }
-                    *wall_ms += config.retry.backoff_ms(config.seed, &domain, attempt + 1);
+                    *wall_ms += config.retry.backoff_ms(config.seed, domain, attempt + 1);
                     attempt += 1;
                     continue;
                 }
-                let record = make_record(config, job, domain, LoadOutcome::Error(err), 0, events);
-                append_record(store, stats, config, &record, attempt);
-                let parked = transient && config.retry.recrawl;
-                if !parked {
-                    stats.record_failure(err);
+                let record = (LoadOutcome::Error(err), 0);
+                // A parked site's verdict is deferred to the recrawl
+                // pass, and its frame is non-final (flags 0): resume
+                // sends it straight to the recrawl queue.
+                if transient && config.retry.recrawl {
+                    (record, 0, "parked", None)
+                } else {
+                    (record, FLAG_FINAL, "error", Some(err))
                 }
-                // A parked site's frame is non-final (flags 0):
-                // resume sends it straight to the recrawl queue.
-                journal_visit(
-                    journal,
-                    config,
-                    stats,
-                    &before,
-                    &record,
-                    *wall_ms - job_start_ms,
-                    if parked { 0 } else { FLAG_FINAL },
-                    attempt,
-                );
-                let status = if parked { "parked" } else { "error" };
-                visit_span(
-                    ring.as_deref_mut(),
-                    worker_id,
-                    job_start_ms,
-                    *wall_ms,
-                    &record.domain,
-                    status,
-                );
-                return PoolJobEnd {
-                    record,
-                    cost_ms: *wall_ms - job_start_ms,
-                    parked,
-                    status,
-                };
             }
+        };
+        append_record(store, ws, stats, config, job, record, attempt);
+        if let Some(err) = failure {
+            stats.record_failure(err);
         }
+        let cost_ms = *wall_ms - job_start_ms;
+        journal_visit(
+            journal, ws, config, stats, &before, domain, cost_ms, flags, attempt,
+        );
+        visit_span(
+            ring.as_deref_mut(),
+            worker_id,
+            job_start_ms,
+            *wall_ms,
+            domain,
+            status,
+        );
+        return PoolJobEnd {
+            cost_ms,
+            parked: status == "parked",
+            status,
+        };
     }
 }
 
@@ -766,6 +742,7 @@ fn crawl_worker(
 ) -> (CrawlStats, Option<SpanRing>) {
     let mut checker = ConnectivityChecker::with_outages(config.outages.clone());
     let mut ring = spans.then(|| SpanRing::new(SPAN_RING_CAP));
+    let mut ws = Workspace::new(config, store);
     let mut stats = CrawlStats::new();
     // Staggered start: spread workers evenly across one visit's
     // wall-clock span. The old `wall_ms = worker_id` start (offsets of
@@ -789,6 +766,7 @@ fn crawl_worker(
             config,
             store,
             journal,
+            &mut ws,
             &mut checker,
             &mut stats,
             &mut wall_ms,
@@ -838,71 +816,58 @@ fn visit_span(
 /// end-of-campaign pass (and the campaign service's recrawl phase)
 /// performs. The visit is attempt number `max_attempts`: the first
 /// fresh fault/backoff draw past the in-place attempts. The caller
-/// owns the pass-wide [`World`] (the recrawl builds one world over its
-/// whole queue, unlike the pool's per-site worlds) and the restarted
-/// wall clock. Returns the terminal record for streaming consumers;
-/// the store and journal already hold it.
+/// owns the pass-wide workspace (the recrawl visits its whole queue in
+/// one world, unlike the pool's per-site worlds) and the restarted
+/// wall clock. The terminal record, already in the store and journal,
+/// is left in the workspace ([`Workspace::record`]) for streaming
+/// consumers.
 #[allow(clippy::too_many_arguments)]
 pub fn run_recrawl_job(
     job: &CrawlJob<'_>,
     config: &CrawlConfig,
     store: &TelemetryStore,
     journal: Option<&JournalWriter>,
-    world: &mut World,
+    ws: &mut Workspace,
     checker: &mut ConnectivityChecker,
     stats: &mut CrawlStats,
     wall_ms: &mut u64,
     ring: Option<&mut SpanRing>,
-) -> VisitRecord {
+) {
     let attempt = config.retry.max_attempts;
-    let before = stats.clone();
+    let domain = job.site.domain.as_str();
+    let before = stats.mark();
     stats.recrawled += 1;
     wait_online(checker, wall_ms, stats);
-    let (record, status) = match attempt_visit(world, config, job.site, attempt) {
-        AttemptEnd::Crashed(events) => {
+    let (record, status) = match attempt_visit(ws, config, job.site, attempt) {
+        AttemptEnd::Crashed => {
             stats.record_crash();
-            (
-                make_record(
-                    config,
-                    job,
-                    job.site.domain.as_str().to_string(),
-                    LoadOutcome::Crashed,
-                    0,
-                    events,
-                ),
-                "crashed",
-            )
+            ((LoadOutcome::Crashed, 0), "crashed")
         }
-        AttemptEnd::Outcome(PageLoadOutcome::Loaded { at_ms }, domain, events) => {
+        AttemptEnd::Outcome(PageLoadOutcome::Loaded { at_ms }) => {
             stats.record_success();
             stats.recovered += 1;
             // Overwrites the pass-one failure record: the store is
             // last-write-wins per (crawl, domain, os).
-            (
-                make_record(config, job, domain, LoadOutcome::Success, at_ms, events),
-                "recovered",
-            )
+            ((LoadOutcome::Success, at_ms), "recovered")
         }
-        AttemptEnd::Outcome(PageLoadOutcome::Failed(err), domain, events) => {
+        AttemptEnd::Outcome(PageLoadOutcome::Failed(err)) => {
             stats.record_failure(err);
             stats.gave_up += 1;
-            (
-                make_record(config, job, domain, LoadOutcome::Error(err), 0, events),
-                "gave_up",
-            )
+            ((LoadOutcome::Error(err), 0), "gave_up")
         }
     };
-    append_record(store, stats, config, &record, attempt);
+    append_record(store, ws, stats, config, job, record, attempt);
     // Each recrawl visit costs exactly one wall slot (the pass is
     // serial and outage waits are schedule-, not site-, owned), so
     // the journaled cost is the constant — resume adds one slot
     // back per surviving recrawl frame.
     journal_visit(
         journal,
+        ws,
         config,
         stats,
         &before,
-        &record,
+        domain,
         VISIT_WALL_MS,
         FLAG_FINAL | FLAG_RECRAWL,
         attempt,
@@ -913,12 +878,11 @@ pub fn run_recrawl_job(
             worker: u32::MAX,
             start_ms: *wall_ms,
             end_ms: *wall_ms + VISIT_WALL_MS,
-            target: record.domain.clone(),
+            target: domain.to_string(),
             status,
         });
     }
     *wall_ms += VISIT_WALL_MS;
-    record
 }
 
 /// The end-of-campaign recrawl: transiently-failing sites get one
@@ -939,7 +903,8 @@ fn recrawl_pass(
     mut ring: Option<&mut SpanRing>,
 ) {
     let sites: Vec<WebSite> = queue.iter().map(|&i| jobs[i].site.clone()).collect();
-    let mut world = World::build(&sites, config.os, config.seed);
+    let world = World::build(&sites, config.os, config.seed);
+    let mut ws = Workspace::with_world(world, config, store);
     let mut checker = ConnectivityChecker::with_outages(config.outages.clone());
     let mut wall_ms: u64 = 0;
     // The recrawl visit is attempt number `max_attempts`: the first
@@ -948,13 +913,12 @@ fn recrawl_pass(
         if journal.is_some_and(|j| j.killed()) {
             break;
         }
-        let job = &jobs[index];
         run_recrawl_job(
-            job,
+            &jobs[index],
             config,
             store,
             journal,
-            &mut world,
+            &mut ws,
             &mut checker,
             stats,
             &mut wall_ms,
@@ -971,6 +935,7 @@ mod tests {
     use super::*;
     use kt_netbase::DomainName;
     use kt_netlog::NetError;
+    use kt_store::VisitRecord;
     use kt_webgen::{Availability, WebSite};
 
     fn sites(n: usize) -> Vec<WebSite> {

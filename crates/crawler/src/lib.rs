@@ -27,10 +27,10 @@ pub mod vantage;
 pub use crawl::{
     run_crawl, run_crawl_chunked, run_crawl_journaled, run_crawl_observed, run_crawl_resumed,
     run_crawl_resumed_observed, run_pool_job, run_recrawl_job, simulated_makespan, CrawlConfig,
-    CrawlJob, PoolJobEnd, VISIT_WALL_MS,
+    CrawlJob, PoolJobEnd, Workspace, VISIT_WALL_MS,
 };
 pub use incremental::IncrementalPlan;
 pub use observe::{campaign_labels, set_stats_gauges, stats_sink, stats_sink_delta};
 pub use resume::{split_campaigns, CampaignReplay, ResumePlan};
-pub use stats::CrawlStats;
+pub use stats::{CrawlStats, StatsMark};
 pub use vantage::{CrawlVantage, NetworkVantage};

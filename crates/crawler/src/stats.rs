@@ -44,6 +44,30 @@ pub struct CrawlStats {
     pub makespan_ms: u64,
 }
 
+/// The per-site counters of a [`CrawlStats`] at one moment, in fixed
+/// size: failures are counted per [`NetError::ALL`] slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatsMark {
+    attempted: usize,
+    successful: usize,
+    retries: usize,
+    recrawled: usize,
+    recovered: usize,
+    gave_up: usize,
+    crashed: usize,
+    store_retries: usize,
+    failures: [usize; NetError::ALL.len()],
+}
+
+impl StatsMark {
+    fn failure_count(&self, err: NetError) -> usize {
+        NetError::ALL
+            .iter()
+            .position(|e| *e == err)
+            .map_or(0, |slot| self.failures[slot])
+    }
+}
+
 impl CrawlStats {
     /// An empty tally.
     pub fn new() -> CrawlStats {
@@ -108,15 +132,32 @@ impl CrawlStats {
         self.failures.get(&err).copied().unwrap_or(0)
     }
 
-    /// The tally's contribution since `before` (a snapshot cloned at
-    /// job start), as a journal-ready [`VisitDelta`]. Connectivity
+    /// A fixed-size snapshot of the per-site counters, taken when a
+    /// job starts so its contribution can later be framed as a
+    /// [`VisitDelta`] without cloning the failure map.
+    pub fn mark(&self) -> StatsMark {
+        StatsMark {
+            attempted: self.attempted,
+            successful: self.successful,
+            retries: self.retries,
+            recrawled: self.recrawled,
+            recovered: self.recovered,
+            gave_up: self.gave_up,
+            crashed: self.crashed,
+            store_retries: self.store_retries,
+            failures: NetError::ALL.map(|err| self.failure_count(err)),
+        }
+    }
+
+    /// The tally's contribution since `before` (the mark taken at job
+    /// start), as a journal-ready [`VisitDelta`]. Connectivity
     /// retries and the makespan are deliberately absent: both measure
     /// the *schedule*, not the site, and the resume path reconstructs
     /// them (zero without outages; greedy replay over journaled costs).
-    pub fn delta_since(&self, before: &CrawlStats, cost_ms: u64) -> VisitDelta {
+    pub fn delta_since(&self, before: &StatsMark, cost_ms: u64) -> VisitDelta {
         let mut failures = Vec::new();
         for (err, n) in &self.failures {
-            let prior = before.failures.get(err).copied().unwrap_or(0);
+            let prior = before.failure_count(*err);
             if *n > prior {
                 failures.push((err.code() as i64, (*n - prior) as u64));
             }
@@ -385,7 +426,7 @@ mod tests {
         after.record_failure(NetError::TimedOut);
         after.retries += 2;
         after.store_retries += 1;
-        let delta = after.delta_since(&before, 21_000);
+        let delta = after.delta_since(&before.mark(), 21_000);
         assert_eq!(delta.cost_ms, 21_000);
         assert_eq!(delta.attempted, 3);
         assert_eq!(delta.successful, 1);

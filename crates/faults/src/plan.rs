@@ -179,8 +179,8 @@ impl FaultPlan {
         if rate <= 0.0 {
             return false;
         }
-        let label = format!("fault/{}/{}/{}", fault.label(), domain, attempt);
-        rng::coin(self.seed, &label, rate)
+        let label = format_args!("fault/{}/{}/{}", fault.label(), domain, attempt);
+        rng::unit_of(rng::hash_fmt(self.seed, label)) < rate
     }
 
     /// All of one visit's fault decisions, drawn up front.

@@ -93,7 +93,21 @@ pub fn decide(
     target: &Url,
     preflight: PreflightResult,
 ) -> PnaVerdict {
-    let target_space = AddressSpace::of_url(target);
+    decide_space(
+        page_space,
+        page_secure,
+        AddressSpace::of_url(target),
+        preflight,
+    )
+}
+
+/// [`decide`] for a target already classified into its address space.
+pub fn decide_space(
+    page_space: AddressSpace,
+    page_secure: bool,
+    target_space: AddressSpace,
+    preflight: PreflightResult,
+) -> PnaVerdict {
     if !target_space.more_private_than(page_space) {
         return PnaVerdict::NotApplicable;
     }

@@ -9,7 +9,9 @@
 //! of rejecting the file — at crawl scale, losing a whole page visit to
 //! a truncated tail would bias the error statistics of Table 1.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde_json::Value;
 
@@ -31,8 +33,9 @@ use crate::event::NetLogEvent;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Capture {
-    /// The constant tables shipped with the capture.
-    pub constants: ConstantTables,
+    /// The constant tables shipped with the capture. Captures built
+    /// here share one process-wide standard table.
+    pub constants: Cow<'static, ConstantTables>,
     /// Events in file order (which is time order for Chrome captures).
     pub events: Vec<NetLogEvent>,
     /// Number of wire events skipped because their type/source/phase
@@ -62,21 +65,23 @@ impl fmt::Display for CaptureError {
 
 impl std::error::Error for CaptureError {}
 
+/// The standard constant tables, built once per process and shared by
+/// every capture that carries them.
+fn standard_constants() -> Cow<'static, ConstantTables> {
+    static STANDARD: OnceLock<ConstantTables> = OnceLock::new();
+    Cow::Borrowed(STANDARD.get_or_init(ConstantTables::standard))
+}
+
 impl Capture {
     /// A fresh, empty capture with the standard constant tables.
     pub fn new() -> Capture {
-        Capture {
-            constants: ConstantTables::standard(),
-            events: Vec::new(),
-            skipped: 0,
-            truncated: false,
-        }
+        Capture::from_events(Vec::new())
     }
 
     /// Build a capture around already-collected events.
     pub fn from_events(events: Vec<NetLogEvent>) -> Capture {
         Capture {
-            constants: ConstantTables::standard(),
+            constants: standard_constants(),
             events,
             skipped: 0,
             truncated: false,
@@ -86,7 +91,7 @@ impl Capture {
     /// Serialise to the `chrome://net-export` JSON document.
     pub fn to_json(&self) -> String {
         let doc = serde_json::json!({
-            "constants": self.constants,
+            "constants": &*self.constants,
             "events": self.events.iter().map(NetLogEvent::to_wire).collect::<Vec<_>>(),
         });
         serde_json::to_string(&doc).expect("capture serialisation cannot fail")
@@ -109,7 +114,7 @@ impl Capture {
                 let constants = doc
                     .get("constants")
                     .and_then(|c| serde_json::from_value(c.clone()).ok())
-                    .unwrap_or_else(ConstantTables::standard);
+                    .map_or_else(standard_constants, Cow::Owned);
                 Ok(Capture {
                     constants,
                     events,
@@ -161,7 +166,7 @@ impl Capture {
             ));
         }
         Ok(Capture {
-            constants: ConstantTables::standard(),
+            constants: standard_constants(),
             events,
             skipped,
             truncated: true,
@@ -255,7 +260,7 @@ mod tests {
         assert_eq!(parsed.events, capture.events);
         assert_eq!(parsed.skipped, 0);
         assert!(!parsed.truncated);
-        assert_eq!(parsed.constants, ConstantTables::standard());
+        assert_eq!(*parsed.constants, ConstantTables::standard());
     }
 
     #[test]

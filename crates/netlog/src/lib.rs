@@ -28,7 +28,8 @@
 //!   which is how the analysis pipeline tells page-initiated requests
 //!   apart from browser-internal traffic;
 //! * [`logger`] — the handle a (simulated) browser uses to emit events
-//!   with serial source IDs and monotonic timestamps;
+//!   with serial source IDs and monotonic timestamps into an
+//!   [`EventSink`] (owned events, or a caller's streaming encoder);
 //! * [`view`] — borrowed (`&str`-backed) event views and a clone-free
 //!   flow reconstruction used by the zero-copy analysis hot path.
 
@@ -45,5 +46,5 @@ pub use capture::{Capture, CaptureError};
 pub use constants::{EventPhase, EventType, NetError, SourceType};
 pub use event::{EventParams, NetLogEvent, SourceRef};
 pub use flow::{Flow, FlowOutcome, FlowSet};
-pub use logger::NetLogger;
+pub use logger::{EventSink, NetLogger};
 pub use view::{EventView, FlowSetView, FlowView, ParamsView};

@@ -2,24 +2,109 @@
 //!
 //! `NetLogger` owns the serial source-ID counter — Chrome assigns
 //! source IDs in creation order, a property the paper's flow grouping
-//! depends on — and collects events into a capture.
+//! depends on — and hands each event to an [`EventSink`]. The default
+//! sink collects owned [`NetLogEvent`]s into a capture; a crawl points
+//! the logger at a sink that encodes each event as it arrives, so its
+//! parameters are only ever borrowed.
 
 use crate::capture::Capture;
 use crate::constants::{EventPhase, EventType, NetError, SourceType};
 use crate::event::{EventParams, NetLogEvent, SourceRef, TimeMs};
+use crate::view::{EventView, ParamsView};
 
-/// Collects NetLog events during one page visit.
-#[derive(Debug, Default)]
-pub struct NetLogger {
-    events: Vec<NetLogEvent>,
+/// Where a [`NetLogger`]'s events go.
+pub trait EventSink {
+    /// Take one event. Its parameters are borrowed for the call only.
+    fn event(&mut self, event: EventView<'_>);
+
+    /// Events taken so far.
+    fn event_count(&self) -> usize;
+
+    /// Drop every event after the first `keep` (a capture that lost
+    /// its tail).
+    fn truncate_events(&mut self, keep: usize);
+
+    /// The events taken so far as owned values, for a panic payload
+    /// that carries them out of an unwinding visit. A sink whose
+    /// events stay readable after unwinding keeps them and returns
+    /// none.
+    fn salvage(&mut self) -> Vec<NetLogEvent>;
+}
+
+/// The owned sink: every event becomes a [`NetLogEvent`].
+impl EventSink for Vec<NetLogEvent> {
+    fn event(&mut self, event: EventView<'_>) {
+        self.push(event.to_owned());
+    }
+
+    fn event_count(&self) -> usize {
+        self.len()
+    }
+
+    fn truncate_events(&mut self, keep: usize) {
+        self.truncate(keep);
+    }
+
+    fn salvage(&mut self) -> Vec<NetLogEvent> {
+        std::mem::take(self)
+    }
+}
+
+impl<S: EventSink + ?Sized> EventSink for &mut S {
+    fn event(&mut self, event: EventView<'_>) {
+        (**self).event(event);
+    }
+
+    fn event_count(&self) -> usize {
+        (**self).event_count()
+    }
+
+    fn truncate_events(&mut self, keep: usize) {
+        (**self).truncate_events(keep);
+    }
+
+    fn salvage(&mut self) -> Vec<NetLogEvent> {
+        (**self).salvage()
+    }
+}
+
+/// Emits NetLog events during one page visit.
+#[derive(Debug)]
+pub struct NetLogger<S = Vec<NetLogEvent>> {
+    sink: S,
     next_source_id: u64,
 }
 
+impl<S: EventSink + Default> Default for NetLogger<S> {
+    /// Like [`NetLogger::with_sink`]: source IDs start at 1.
+    fn default() -> NetLogger<S> {
+        NetLogger::with_sink(S::default())
+    }
+}
+
 impl NetLogger {
-    /// A fresh logger; source IDs start at 1 (Chrome reserves 0).
+    /// A fresh logger collecting owned events; source IDs start at 1
+    /// (Chrome reserves 0).
     pub fn new() -> NetLogger {
+        NetLogger::with_sink(Vec::new())
+    }
+
+    /// Events logged so far.
+    pub fn events(&self) -> &[NetLogEvent] {
+        &self.sink
+    }
+
+    /// Finish the visit and hand over the capture.
+    pub fn into_capture(self) -> Capture {
+        Capture::from_events(self.sink)
+    }
+}
+
+impl<S: EventSink> NetLogger<S> {
+    /// A fresh logger writing into `sink`; source IDs start at 1.
+    pub fn with_sink(sink: S) -> NetLogger<S> {
         NetLogger {
-            events: Vec::new(),
+            sink,
             next_source_id: 1,
         }
     }
@@ -31,7 +116,25 @@ impl NetLogger {
         SourceRef { id, kind }
     }
 
-    /// Append one event.
+    /// Emit one event with borrowed parameters.
+    pub fn emit(
+        &mut self,
+        time: TimeMs,
+        source: SourceRef,
+        event_type: EventType,
+        phase: EventPhase,
+        params: ParamsView<'_>,
+    ) {
+        self.sink.event(EventView {
+            time,
+            event_type,
+            source,
+            phase,
+            params,
+        });
+    }
+
+    /// Append one event with owned parameters.
     pub fn log(
         &mut self,
         time: TimeMs,
@@ -40,13 +143,7 @@ impl NetLogger {
         phase: EventPhase,
         params: EventParams,
     ) {
-        self.events.push(NetLogEvent {
-            time,
-            event_type,
-            source,
-            phase,
-            params,
-        });
+        self.emit(time, source, event_type, phase, params.view());
     }
 
     /// Convenience: log the start of a URL request.
@@ -57,22 +154,22 @@ impl NetLogger {
         url: &str,
         initiator: Option<&str>,
     ) {
-        self.log(
+        self.emit(
             time,
             source,
             EventType::RequestAlive,
             EventPhase::Begin,
-            EventParams::None,
+            ParamsView::None,
         );
-        self.log(
+        self.emit(
             time,
             source,
             EventType::UrlRequestStartJob,
             EventPhase::Begin,
-            EventParams::UrlRequestStart {
-                url: url.to_string(),
-                method: "GET".to_string(),
-                initiator: initiator.map(str::to_string),
+            ParamsView::UrlRequestStart {
+                url,
+                method: "GET",
+                initiator,
                 load_flags: 0,
             },
         );
@@ -80,60 +177,55 @@ impl NetLogger {
 
     /// Convenience: log a terminal failure and close the request.
     pub fn log_failure(&mut self, time: TimeMs, source: SourceRef, error: NetError) {
-        self.log(
+        self.emit(
             time,
             source,
             EventType::FailedRequest,
             EventPhase::None,
-            EventParams::Failed {
+            ParamsView::Failed {
                 net_error: error.code(),
             },
         );
-        self.log(
+        self.emit(
             time,
             source,
             EventType::RequestAlive,
             EventPhase::End,
-            EventParams::None,
+            ParamsView::None,
         );
     }
 
     /// Convenience: log a response and close the request.
     pub fn log_response(&mut self, time: TimeMs, source: SourceRef, status: u16) {
-        self.log(
+        self.emit(
             time,
             source,
             EventType::HttpTransactionReadHeaders,
             EventPhase::None,
-            EventParams::ResponseHeaders { status },
+            ParamsView::ResponseHeaders { status },
         );
-        self.log(
+        self.emit(
             time,
             source,
             EventType::RequestAlive,
             EventPhase::End,
-            EventParams::None,
+            ParamsView::None,
         );
-    }
-
-    /// Events logged so far.
-    pub fn events(&self) -> &[NetLogEvent] {
-        &self.events
     }
 
     /// Number of events logged so far.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.sink.event_count()
     }
 
     /// True if nothing has been logged.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
-    /// Finish the visit and hand over the capture.
-    pub fn into_capture(self) -> Capture {
-        Capture::from_events(self.events)
+    /// The sink.
+    pub fn sink_mut(&mut self) -> &mut S {
+        &mut self.sink
     }
 }
 

@@ -189,10 +189,7 @@ fn base_outcome(env: &HostEnv, net: &SimNet, target: &ProbeTarget) -> BaseOutcom
             let endpoint = match (Locality::of_ip(target.addr), target.addr) {
                 (Locality::Loopback, _) => env.localhost_endpoint(target.port),
                 (Locality::Private, IpAddr::V4(v4)) => env.lan_endpoint(v4, target.port),
-                _ => kt_simnet::Endpoint {
-                    behavior: ServerBehavior::Blackhole,
-                    certificate: None,
-                },
+                _ => &kt_simnet::server::BLACKHOLE_ENDPOINT,
             };
             let locality = Locality::of_ip(target.addr);
             let key = format!("udp/{}:{}", target.addr, target.port);

@@ -46,14 +46,15 @@ use kt_analysis::online::{OnlinePartial, UpdatePass};
 use kt_analysis::par::CrawlAnalysis;
 use kt_browser::World;
 use kt_crawler::crawl::{
-    run_pool_job, run_recrawl_job, simulated_makespan, CrawlConfig, CrawlJob, VISIT_WALL_MS,
+    run_pool_job, run_recrawl_job, simulated_makespan, CrawlConfig, CrawlJob, Workspace,
+    VISIT_WALL_MS,
 };
 use kt_crawler::CrawlStats;
 use kt_faults::{Fault, FaultPlan};
 use kt_netbase::Os;
 use kt_simnet::connectivity::ConnectivityChecker;
 use kt_store::journal::{JournalConfig, JournalWriter};
-use kt_store::{CheckpointFrame, CrawlId, TelemetryStore, VisitRecord};
+use kt_store::{CheckpointFrame, CrawlId, TelemetryStore};
 use kt_trace::{names, Labels, Trace};
 use kt_webgen::WebSite;
 
@@ -158,7 +159,10 @@ enum Phase {
 
 /// One round's executor output, applied serially by the coordinator.
 struct RoundOutcome {
-    record: VisitRecord,
+    /// The job's index in the campaign spec.
+    job: usize,
+    /// The terminal record in codec bytes, as the store holds it.
+    record: Vec<u8>,
     pass: UpdatePass,
     cost_ms: u64,
 }
@@ -176,7 +180,10 @@ struct Campaign {
     parked: Vec<usize>,
     recrawl_queue: Vec<usize>,
     recrawl_pos: usize,
-    recrawl_world: Option<World>,
+    /// The pool jobs' world and record encoder.
+    workspace: Workspace,
+    /// The recrawl phase's workspace: one world over its whole queue.
+    recrawl_workspace: Option<Workspace>,
     checker: ConnectivityChecker,
     recrawl_checker: ConnectivityChecker,
     stats: CrawlStats,
@@ -268,7 +275,8 @@ impl TenantAccounting {
 enum Update {
     Visit {
         campaign: u64,
-        record: VisitRecord,
+        /// The visit record in codec bytes.
+        record: Vec<u8>,
         pass: UpdatePass,
     },
     Flush(Arc<FlushGate>),
@@ -328,7 +336,7 @@ impl CampaignService {
                                 .expect("aggregator lock")
                                 .entry(campaign)
                                 .or_default()
-                                .absorb(&record, pass);
+                                .absorb_encoded(&record, pass);
                         }
                         Update::Flush(gate) => gate.open(),
                     }
@@ -395,6 +403,7 @@ impl CampaignService {
         };
         let jobs = spec.jobs.len();
         let outages = cfg.outages.clone();
+        let workspace = Workspace::new(&cfg, &self.store);
         self.campaigns.push(Mutex::new(Campaign {
             id,
             tenant: tenant.to_string(),
@@ -405,7 +414,8 @@ impl CampaignService {
             parked: Vec::new(),
             recrawl_queue: Vec::new(),
             recrawl_pos: 0,
-            recrawl_world: None,
+            workspace,
+            recrawl_workspace: None,
             checker: ConnectivityChecker::with_outages(outages.clone()),
             recrawl_checker: ConnectivityChecker::with_outages(outages),
             stats: CrawlStats::new(),
@@ -528,20 +538,14 @@ impl CampaignService {
             UpdatePass::Pool => 0,
             UpdatePass::Recrawl => 1,
         };
-        let stall =
-            if self
-                .config
-                .faults
-                .injects(Fault::SlowConsumer, &round.record.domain, pass_attempt)
-            {
-                self.config.slow_consumer_stall_ms
-            } else {
-                0
-            };
-        let forced =
-            self.config
-                .faults
-                .injects(Fault::QueueOverflow, &round.record.domain, pass_attempt);
+        let domain = c.spec.jobs[round.job].site.domain.as_str();
+        let faults = &self.config.faults;
+        let stall = if faults.injects(Fault::SlowConsumer, domain, pass_attempt) {
+            self.config.slow_consumer_stall_ms
+        } else {
+            0
+        };
+        let forced = faults.injects(Fault::QueueOverflow, domain, pass_attempt);
         let arrival = c.consumed_ms;
         let verdict = c.model.on_arrival(arrival, stall, forced);
         if verdict == QueueVerdict::Shed {
@@ -587,7 +591,8 @@ impl CampaignService {
                 // whole queue; mirror that exactly.
                 let sites: Vec<WebSite> =
                     queue.iter().map(|&i| c.spec.jobs[i].site.clone()).collect();
-                c.recrawl_world = Some(World::build(&sites, c.spec.os, self.config.seed));
+                let world = World::build(&sites, c.spec.os, self.config.seed);
+                c.recrawl_workspace = Some(Workspace::with_world(world, &c.cfg, &self.store));
                 c.recrawl_queue = queue;
                 c.phase = Phase::Recrawl;
             }
@@ -604,7 +609,7 @@ impl CampaignService {
         c.stats.makespan_ms = simulated_makespan(&c.costs, sched_workers) + c.recrawl_wall_ms;
         c.status = CampaignStatus::Completed;
         c.phase = Phase::Done;
-        c.recrawl_world = None;
+        c.recrawl_workspace = None;
         if let Some(journal) = &c.journal {
             journal.append_checkpoint(&CheckpointFrame {
                 crawl: c.spec.crawl.as_str().to_string(),
@@ -638,7 +643,7 @@ impl CampaignService {
             if c.unfinished() {
                 c.status = CampaignStatus::Drained;
                 c.phase = Phase::Done;
-                c.recrawl_world = None;
+                c.recrawl_workspace = None;
                 if let Some(journal) = &c.journal {
                     journal.sync();
                 }
@@ -835,6 +840,7 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) {
                 journal,
                 costs,
                 parked,
+                workspace,
                 ..
             } = c;
             let job = CrawlJob {
@@ -846,6 +852,7 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) {
                 cfg,
                 store,
                 journal.as_ref(),
+                workspace,
                 checker,
                 stats,
                 pool_wall_ms,
@@ -858,7 +865,8 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) {
             }
             c.next_job += 1;
             c.round = Some(RoundOutcome {
-                record: end.record,
+                job: index,
+                record: workspace.record().to_vec(),
                 pass: UpdatePass::Pool,
                 cost_ms: end.cost_ms,
             });
@@ -869,7 +877,7 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) {
             let Campaign {
                 spec,
                 cfg,
-                recrawl_world,
+                recrawl_workspace,
                 recrawl_checker,
                 stats,
                 recrawl_wall_ms,
@@ -880,20 +888,23 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) {
                 site: &spec.jobs[index].site,
                 malicious_category: spec.jobs[index].malicious_category,
             };
-            let record = run_recrawl_job(
+            let workspace = recrawl_workspace.as_mut().expect("recrawl workspace built");
+            run_recrawl_job(
                 &job,
                 cfg,
                 store,
                 journal.as_ref(),
-                recrawl_world.as_mut().expect("recrawl world built"),
+                workspace,
                 recrawl_checker,
                 stats,
                 recrawl_wall_ms,
                 None,
             );
+            let record = workspace.record().to_vec();
             let cost_ms = c.recrawl_wall_ms - before_wall;
             c.recrawl_pos += 1;
             c.round = Some(RoundOutcome {
+                job: index,
                 record,
                 pass: UpdatePass::Recrawl,
                 cost_ms,

@@ -121,15 +121,24 @@ impl DnsResolver {
     /// closed world, exactly like the paper's parsed-and-stored
     /// telemetry database.
     pub fn resolve(&mut self, name: &str, now: SimTime) -> Result<IpAddr, DnsError> {
-        let key = name.to_ascii_lowercase();
-        if let Some(entry) = self.cache.get(&key) {
+        // Zone and cache keys are lower-case; the simulated browser
+        // always asks in lower case, so only a mixed-case query pays
+        // for a lowered copy.
+        let lowered;
+        let key = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            lowered = name.to_ascii_lowercase();
+            lowered.as_str()
+        } else {
+            name
+        };
+        if let Some(entry) = self.cache.get(key) {
             if entry.expires_at > now {
                 self.cache_hits += 1;
                 return entry.result;
             }
         }
         self.authoritative_queries += 1;
-        let result = match self.zone.get(&key) {
+        let result = match self.zone.get(key) {
             Some(DnsRecord::A(addr)) => Ok(*addr),
             Some(DnsRecord::NxDomain) | None => Err(DnsError::NxDomain),
             Some(DnsRecord::ServFail) => Err(DnsError::ServFail),
@@ -140,19 +149,39 @@ impl DnsResolver {
         } else {
             self.negative_ttl_ms
         };
-        self.cache.insert(
-            key,
-            CacheEntry {
-                result,
-                expires_at: now + ttl,
-            },
-        );
+        let entry = CacheEntry {
+            result,
+            expires_at: now + ttl,
+        };
+        // An expired entry is overwritten in place, keeping its key.
+        match self.cache.get_mut(key) {
+            Some(slot) => *slot = entry,
+            None => {
+                self.cache.insert(key.to_string(), entry);
+            }
+        }
         result
     }
 
     /// Drop all cached entries (a new browser profile).
     pub fn flush_cache(&mut self) {
         self.cache.clear();
+    }
+
+    /// Keep only the zone records whose names `keep` accepts, forget
+    /// every cached answer and zero the query counters: afterwards the
+    /// resolver answers exactly as a new one holding only the kept
+    /// records would. Cache slots of kept names stay allocated but
+    /// expired (an entry that expired is a miss, like a missing one),
+    /// so re-resolving them does not allocate a key again.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        self.zone.retain(|name, _| keep(name));
+        self.cache.retain(|name, entry| {
+            entry.expires_at = 0;
+            keep(name)
+        });
+        self.authoritative_queries = 0;
+        self.cache_hits = 0;
     }
 }
 

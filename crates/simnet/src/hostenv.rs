@@ -15,7 +15,7 @@ pub use kt_netbase::Os;
 use serde::{Deserialize, Serialize};
 
 use crate::rng;
-use crate::server::{Endpoint, HttpResponse, ServerBehavior};
+use crate::server::{Endpoint, HttpResponse, BLACKHOLE_ENDPOINT, REFUSED_ENDPOINT};
 
 /// A service listening on the visitor's loopback interface.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -155,27 +155,19 @@ impl HostEnv {
     /// What answers a connection to `localhost:port`. Ports with no
     /// listener refuse (RST), which is the common case the anti-abuse
     /// scanners distinguish from an accepted connection.
-    pub fn localhost_endpoint(&self, port: u16) -> Endpoint {
+    pub fn localhost_endpoint(&self, port: u16) -> &Endpoint {
         self.listeners
             .get(&port)
-            .map(|s| s.endpoint.clone())
-            .unwrap_or(Endpoint {
-                behavior: ServerBehavior::Refused,
-                certificate: None,
-            })
+            .map_or(&REFUSED_ENDPOINT, |s| &s.endpoint)
     }
 
     /// What answers a connection to a LAN address. Addresses with no
     /// device are black holes (no host ⇒ no RST, the SYN just dies),
     /// which is what makes naive LAN scanning slow in practice.
-    pub fn lan_endpoint(&self, address: Ipv4Addr, port: u16) -> Endpoint {
+    pub fn lan_endpoint(&self, address: Ipv4Addr, port: u16) -> &Endpoint {
         self.lan
             .get(&(address, port))
-            .map(|d| d.endpoint.clone())
-            .unwrap_or(Endpoint {
-                behavior: ServerBehavior::Blackhole,
-                certificate: None,
-            })
+            .map_or(&BLACKHOLE_ENDPOINT, |d| &d.endpoint)
     }
 
     /// Iterate the localhost listeners.
@@ -192,6 +184,7 @@ impl HostEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerBehavior;
 
     #[test]
     fn os_labels() {

@@ -6,14 +6,40 @@
 //! channel (§4.3.2) depends on refused-connection responses returning
 //! much faster than timeouts, so the model distinguishes those cases.
 
+use std::fmt;
+
 use kt_netbase::Locality;
 
 use crate::rng;
 
 /// Deterministic latency sampler.
+///
+/// Every sample hashes a label such as `tcp:{key}` with the run seed.
+/// Labels stream through a [`rng::LaneHasher`] instead of being formatted
+/// into a `String` first, so sampling never allocates; keys are any
+/// `Display` value (a `&str`, or [`SocketKey`] for `addr:port`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencyModel {
     seed: u64,
+}
+
+/// The `addr:port` connection key, formatted on demand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SocketKey(pub std::net::IpAddr, pub u16);
+
+impl fmt::Display for SocketKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}", self.0, self.1)
+    }
+}
+
+/// TCP connect latency bounds, ms, by destination class.
+fn connect_bounds(locality: Locality) -> (f64, f64) {
+    match locality {
+        Locality::Loopback => (0.0, 2.0),
+        Locality::Private | Locality::LinkLocal => (1.0, 6.0),
+        _ => (15.0, 180.0),
+    }
 }
 
 impl LatencyModel {
@@ -22,36 +48,40 @@ impl LatencyModel {
         LatencyModel { seed }
     }
 
+    /// `rng::range` over the label `args` would format to.
+    fn sample(&self, args: fmt::Arguments<'_>, lo: f64, hi: f64) -> f64 {
+        rng::range_of(rng::hash_fmt(self.seed, args), lo, hi)
+    }
+
     /// DNS resolution latency in ms for a name (cache misses).
     pub fn dns_ms(&self, name: &str) -> u64 {
-        rng::range(self.seed, &format!("dns:{name}"), 5.0, 120.0) as u64
+        self.sample(format_args!("dns:{name}"), 5.0, 120.0) as u64
     }
 
     /// TCP connect latency in ms to an address of the given locality.
-    pub fn connect_ms(&self, locality: Locality, key: &str) -> u64 {
-        let (lo, hi) = match locality {
-            Locality::Loopback => (0.0, 2.0),
-            Locality::Private | Locality::LinkLocal => (1.0, 6.0),
-            _ => (15.0, 180.0),
-        };
-        rng::range(self.seed, &format!("tcp:{key}"), lo, hi) as u64
+    pub fn connect_ms(&self, locality: Locality, key: impl fmt::Display) -> u64 {
+        let (lo, hi) = connect_bounds(locality);
+        self.sample(format_args!("tcp:{key}"), lo, hi) as u64
     }
 
-    /// Additional TLS handshake latency in ms (~1 extra RTT).
-    pub fn tls_ms(&self, locality: Locality, key: &str) -> u64 {
-        self.connect_ms(locality, &format!("tls:{key}")).max(1)
+    /// Additional TLS handshake latency in ms (~1 extra RTT): the
+    /// connect latency of the key `tls:{key}`.
+    pub fn tls_ms(&self, locality: Locality, key: impl fmt::Display) -> u64 {
+        let (lo, hi) = connect_bounds(locality);
+        (self.sample(format_args!("tcp:tls:{key}"), lo, hi) as u64).max(1)
     }
 
     /// Server think-time plus first-byte latency in ms.
-    pub fn response_ms(&self, key: &str) -> u64 {
-        rng::range(self.seed, &format!("resp:{key}"), 2.0, 90.0) as u64
+    pub fn response_ms(&self, key: impl fmt::Display) -> u64 {
+        self.sample(format_args!("resp:{key}"), 2.0, 90.0) as u64
     }
 
     /// How long a connect to a dead port takes to *refuse* — fast,
     /// because the host answers with RST. This is the side channel the
-    /// BIG-IP script reads.
-    pub fn refused_ms(&self, locality: Locality, key: &str) -> u64 {
-        self.connect_ms(locality, &format!("refused:{key}")).max(1)
+    /// BIG-IP script reads. The connect latency of `refused:{key}`.
+    pub fn refused_ms(&self, locality: Locality, key: impl fmt::Display) -> u64 {
+        let (lo, hi) = connect_bounds(locality);
+        (self.sample(format_args!("tcp:refused:{key}"), lo, hi) as u64).max(1)
     }
 
     /// The connect timeout for silently dropped packets, in ms.
@@ -93,6 +123,31 @@ mod tests {
             assert!(loopback <= 2);
             assert!((15..180).contains(&(public as i64)), "{public}");
         }
+    }
+
+    #[test]
+    fn streamed_labels_sample_what_formatted_labels_did() {
+        let m = LatencyModel::new(7);
+        let addr: std::net::IpAddr = "10.0.0.200".parse().unwrap();
+        let key = SocketKey(addr, 8080);
+        let at = |label: &str, lo, hi| rng::range(7, label, lo, hi) as u64;
+        assert_eq!(m.dns_ms("ebay.com"), at("dns:ebay.com", 5.0, 120.0));
+        assert_eq!(
+            m.connect_ms(Locality::Private, key),
+            at("tcp:10.0.0.200:8080", 1.0, 6.0)
+        );
+        assert_eq!(
+            m.tls_ms(Locality::Public, key),
+            at("tcp:tls:10.0.0.200:8080", 15.0, 180.0).max(1)
+        );
+        assert_eq!(
+            m.refused_ms(Locality::Loopback, "localhost:4444"),
+            at("tcp:refused:localhost:4444", 0.0, 2.0).max(1)
+        );
+        assert_eq!(
+            m.response_ms("https://a.example/x"),
+            at("resp:https://a.example/x", 2.0, 90.0)
+        );
     }
 
     #[test]

@@ -13,13 +13,14 @@ use kt_netbase::Locality;
 use crate::clock::SimTime;
 use crate::dns::DnsResolver;
 use crate::hostenv::HostEnv;
-use crate::latency::LatencyModel;
-use crate::server::{Endpoint, ServerBehavior};
+use crate::latency::{LatencyModel, SocketKey};
+use crate::server::{Endpoint, ServerBehavior, BLACKHOLE_ENDPOINT};
 use crate::tls::CertVerdict;
 
-/// Result of a TCP (+ optional TLS) connection attempt.
+/// Result of a TCP (+ optional TLS) connection attempt. An established
+/// connection borrows the endpoint that answered from the fabric.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ConnectOutcome {
+pub enum ConnectOutcome<'a> {
     /// Connected (and TLS completed, when requested); the endpoint's
     /// request-level behaviour applies next.
     Established {
@@ -28,7 +29,7 @@ pub enum ConnectOutcome {
         /// TLS handshake latency (0 for plaintext).
         tls_ms: u64,
         /// The listening endpoint.
-        endpoint: Endpoint,
+        endpoint: &'a Endpoint,
     },
     /// RST on SYN: `ERR_CONNECTION_REFUSED`.
     Refused {
@@ -55,7 +56,7 @@ pub enum ConnectOutcome {
     },
 }
 
-impl ConnectOutcome {
+impl ConnectOutcome<'_> {
     /// Total elapsed time for the attempt.
     pub fn elapsed_ms(&self) -> u64 {
         match self {
@@ -109,6 +110,20 @@ impl SimNet {
         self.endpoints.len()
     }
 
+    /// Keep only the zone records and endpoints the predicates accept
+    /// and reset the resolver's cache and counters (see
+    /// [`DnsResolver::retain`]): the network then answers exactly as a
+    /// new `SimNet` with the same seed holding only what was kept.
+    pub fn retain(
+        &mut self,
+        keep_name: impl FnMut(&str) -> bool,
+        mut keep_endpoint: impl FnMut(IpAddr, u16) -> bool,
+    ) {
+        self.dns.retain(keep_name);
+        self.endpoints
+            .retain(|&(addr, port), _| keep_endpoint(addr, port));
+    }
+
     /// Resolve a DNS name at the given time.
     pub fn resolve(&mut self, name: &str, now: SimTime) -> Result<IpAddr, crate::dns::DnsError> {
         self.dns.resolve(name, now)
@@ -118,36 +133,32 @@ impl SimNet {
     /// `addr:port`. Loopback and private destinations are answered by
     /// `host_env`; public destinations by the bound endpoint table
     /// (default: black hole — an address nobody answers for).
-    pub fn connect(
-        &self,
-        host_env: &HostEnv,
+    pub fn connect<'a>(
+        &'a self,
+        host_env: &'a HostEnv,
         addr: IpAddr,
         port: u16,
         tls_sni: Option<&str>,
-    ) -> ConnectOutcome {
+    ) -> ConnectOutcome<'a> {
         let locality = Locality::of_ip(addr);
-        let key = format!("{addr}:{port}");
+        let key = SocketKey(addr, port);
         let endpoint = match (locality, addr) {
             (Locality::Loopback, _) => host_env.localhost_endpoint(port),
             (Locality::Private, IpAddr::V4(v4)) => host_env.lan_endpoint(v4, port),
             _ => self
                 .endpoints
                 .get(&(addr, port))
-                .cloned()
-                .unwrap_or(Endpoint {
-                    behavior: ServerBehavior::Blackhole,
-                    certificate: None,
-                }),
+                .unwrap_or(&BLACKHOLE_ENDPOINT),
         };
         match &endpoint.behavior {
             ServerBehavior::Refused => ConnectOutcome::Refused {
-                elapsed_ms: self.latency.refused_ms(locality, &key),
+                elapsed_ms: self.latency.refused_ms(locality, key),
             },
             ServerBehavior::Blackhole => ConnectOutcome::TimedOut {
                 elapsed_ms: self.latency.timeout_ms(),
             },
             _ => {
-                let connect_ms = self.latency.connect_ms(locality, &key);
+                let connect_ms = self.latency.connect_ms(locality, key);
                 match tls_sni {
                     None => ConnectOutcome::Established {
                         connect_ms,
@@ -155,7 +166,7 @@ impl SimNet {
                         endpoint,
                     },
                     Some(host) => {
-                        let tls_ms = self.latency.tls_ms(locality, &key);
+                        let tls_ms = self.latency.tls_ms(locality, key);
                         match &endpoint.certificate {
                             None => ConnectOutcome::TlsProtocolError {
                                 elapsed_ms: connect_ms + tls_ms,

@@ -35,14 +35,122 @@ pub fn hash_str(seed: u64, s: &str) -> u64 {
     hash_bytes(seed, s.as_bytes())
 }
 
+/// A streaming lane hasher: bytes written in any number of pieces are
+/// cut into 8-byte little-endian lanes exactly as one contiguous
+/// buffer would be, the last lane zero-padded. Callers hash a label
+/// made of several parts (`"tcp:"`, an address, `":"`, a port)
+/// without first formatting it into a `String`: [`LaneHasher::new`]
+/// followed by [`LaneHasher::finish`] returns what [`hash_bytes`]
+/// returns over the concatenation, and `write!` streams any
+/// `Display` value in (the [`fmt::Write`](std::fmt::Write) impl).
+///
+/// The lane step is a parameter, so other lane-wise hashes (the
+/// browser's per-visit label hash) share the buffering.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneHasher {
+    state: u64,
+    step: fn(u64, u64) -> u64,
+    lane: [u8; 8],
+    fill: usize,
+    len: u64,
+}
+
+impl LaneHasher {
+    /// The [`hash_bytes`] lane hasher for `seed`.
+    pub fn new(seed: u64) -> LaneHasher {
+        LaneHasher::with_step(splitmix64(seed ^ 0x51ab_c0de_51ab_c0de), |h, lane| {
+            splitmix64(h ^ lane)
+        })
+    }
+
+    /// A lane hasher starting from `state` that folds each lane in
+    /// with `step(state, lane)`.
+    pub fn with_step(state: u64, step: fn(u64, u64) -> u64) -> LaneHasher {
+        LaneHasher {
+            state,
+            step,
+            lane: [0; 8],
+            fill: 0,
+            len: 0,
+        }
+    }
+
+    /// Append bytes.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.fill > 0 {
+            let take = bytes.len().min(8 - self.fill);
+            self.lane[self.fill..self.fill + take].copy_from_slice(&bytes[..take]);
+            self.fill += take;
+            bytes = &bytes[take..];
+            if self.fill < 8 {
+                return;
+            }
+            self.state = (self.step)(self.state, u64::from_le_bytes(self.lane));
+            self.fill = 0;
+        }
+        let mut lanes = bytes.chunks_exact(8);
+        for lane in &mut lanes {
+            let lane = u64::from_le_bytes(lane.try_into().expect("8-byte lane"));
+            self.state = (self.step)(self.state, lane);
+        }
+        let tail = lanes.remainder();
+        self.lane[..tail.len()].copy_from_slice(tail);
+        self.fill = tail.len();
+    }
+
+    /// The lane state after folding in the zero-padded partial lane,
+    /// if any — the whole hash for lane-only hashes.
+    pub fn finish_lanes(mut self) -> u64 {
+        if self.fill > 0 {
+            self.lane[self.fill..].fill(0);
+            self.state = (self.step)(self.state, u64::from_le_bytes(self.lane));
+        }
+        self.state
+    }
+
+    /// The [`hash_bytes`] result: lanes, then the total length.
+    pub fn finish(self) -> u64 {
+        let len = self.len;
+        splitmix64(self.finish_lanes() ^ len)
+    }
+}
+
+impl std::fmt::Write for LaneHasher {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// [`hash_str`] of the label `args` formats to, streamed through a
+/// [`LaneHasher`]: `hash_fmt(seed, format_args!("dns:{name}"))` equals
+/// `hash_str(seed, &format!("dns:{name}"))` without building the
+/// `String`.
+pub fn hash_fmt(seed: u64, args: std::fmt::Arguments<'_>) -> u64 {
+    let mut h = LaneHasher::new(seed);
+    std::fmt::Write::write_fmt(&mut h, args).expect("hashing never fails");
+    h.finish()
+}
+
+/// A uniform sample in `[0, 1)` from an already-computed hash.
+pub fn unit_of(hash: u64) -> f64 {
+    (hash >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// A uniform sample in `[lo, hi)` from an already-computed hash.
+pub fn range_of(hash: u64, lo: f64, hi: f64) -> f64 {
+    lo + unit_of(hash) * (hi - lo)
+}
+
 /// A uniform sample in `[0, 1)` derived from a seed and a label.
 pub fn unit(seed: u64, label: &str) -> f64 {
-    (hash_str(seed, label) >> 11) as f64 / (1u64 << 53) as f64
+    unit_of(hash_str(seed, label))
 }
 
 /// A uniform sample in `[lo, hi)` derived from a seed and a label.
 pub fn range(seed: u64, label: &str, lo: f64, hi: f64) -> f64 {
-    lo + unit(seed, label) * (hi - lo)
+    range_of(hash_str(seed, label), lo, hi)
 }
 
 /// A Bernoulli trial with probability `p`, derived from seed + label.

@@ -89,6 +89,18 @@ pub struct Endpoint {
     pub certificate: Option<Certificate>,
 }
 
+/// What answers where nothing listens on a loopback port: RST.
+pub static REFUSED_ENDPOINT: Endpoint = Endpoint {
+    behavior: ServerBehavior::Refused,
+    certificate: None,
+};
+
+/// What answers where nothing exists at all: silence.
+pub static BLACKHOLE_ENDPOINT: Endpoint = Endpoint {
+    behavior: ServerBehavior::Blackhole,
+    certificate: None,
+};
+
 impl Endpoint {
     /// A plaintext HTTP endpoint.
     pub fn http(response: HttpResponse) -> Endpoint {

@@ -65,4 +65,23 @@ proptest! {
             prop_assert!(p < 7);
         }
     }
+
+    #[test]
+    fn lane_hasher_over_pieces_equals_hash_bytes_over_their_concatenation(
+        seed in any::<u64>(),
+        pieces in proptest::collection::vec("[ -~]{0,19}", 0..8),
+    ) {
+        let whole: String = pieces.concat();
+        let mut h = rng::LaneHasher::new(seed);
+        for piece in &pieces {
+            h.write(piece.as_bytes());
+        }
+        prop_assert_eq!(h.finish(), rng::hash_bytes(seed, whole.as_bytes()));
+        // `write!` through the fmt::Write impl streams the same bytes.
+        let mut f = rng::LaneHasher::new(seed);
+        for piece in &pieces {
+            std::fmt::Write::write_fmt(&mut f, format_args!("{piece}")).unwrap();
+        }
+        prop_assert_eq!(f.finish(), rng::hash_bytes(seed, whole.as_bytes()));
+    }
 }

@@ -16,10 +16,11 @@
 //! At crawl scale this matters: a JSON NetLog event averages ~180
 //! bytes; this codec stores the common events in 8–40.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use kt_netbase::Os;
 use kt_netlog::{
-    EventParams, EventPhase, EventType, EventView, NetLogEvent, ParamsView, SourceRef, SourceType,
+    EventParams, EventPhase, EventSink, EventType, EventView, NetLogEvent, ParamsView, SourceRef,
+    SourceType,
 };
 
 use crate::record::{CrawlId, LoadOutcome, VisitRecord};
@@ -56,15 +57,15 @@ impl std::error::Error for CodecError {}
 const MAGIC: u16 = 0x4B54; // "KT"
 const VERSION: u8 = 1;
 
-pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -87,9 +88,9 @@ pub(crate) fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
@@ -134,64 +135,64 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_params(buf: &mut BytesMut, params: &EventParams) {
+fn put_params(buf: &mut Vec<u8>, params: ParamsView<'_>) {
     match params {
-        EventParams::None => buf.put_u8(0),
-        EventParams::UrlRequestStart {
+        ParamsView::None => buf.push(0),
+        ParamsView::UrlRequestStart {
             url,
             method,
             initiator,
             load_flags,
         } => {
-            buf.put_u8(1);
+            buf.push(1);
             put_str(buf, url);
             put_str(buf, method);
             match initiator {
                 Some(i) => {
-                    buf.put_u8(1);
+                    buf.push(1);
                     put_str(buf, i);
                 }
-                None => buf.put_u8(0),
+                None => buf.push(0),
             }
-            put_varint(buf, *load_flags as u64);
+            put_varint(buf, load_flags as u64);
         }
-        EventParams::Redirect { location } => {
-            buf.put_u8(2);
+        ParamsView::Redirect { location } => {
+            buf.push(2);
             put_str(buf, location);
         }
-        EventParams::DnsJob { host } => {
-            buf.put_u8(3);
+        ParamsView::DnsJob { host } => {
+            buf.push(3);
             put_str(buf, host);
         }
-        EventParams::Connect { address } => {
-            buf.put_u8(4);
+        ParamsView::Connect { address } => {
+            buf.push(4);
             put_str(buf, address);
         }
-        EventParams::Ssl { host } => {
-            buf.put_u8(5);
+        ParamsView::Ssl { host } => {
+            buf.push(5);
             put_str(buf, host);
         }
-        EventParams::ResponseHeaders { status } => {
-            buf.put_u8(6);
-            put_varint(buf, *status as u64);
+        ParamsView::ResponseHeaders { status } => {
+            buf.push(6);
+            put_varint(buf, status as u64);
         }
-        EventParams::WebSocket { url } => {
-            buf.put_u8(7);
+        ParamsView::WebSocket { url } => {
+            buf.push(7);
             put_str(buf, url);
         }
-        EventParams::WebSocketFrame { length } => {
-            buf.put_u8(8);
-            put_varint(buf, *length);
+        ParamsView::WebSocketFrame { length } => {
+            buf.push(8);
+            put_varint(buf, length);
         }
-        EventParams::Failed { net_error } => {
-            buf.put_u8(9);
-            put_varint(buf, zigzag(*net_error as i64));
+        ParamsView::Failed { net_error } => {
+            buf.push(9);
+            put_varint(buf, zigzag(net_error as i64));
         }
-        EventParams::IceCandidate {
+        ParamsView::IceCandidate {
             address,
             candidate_type,
         } => {
-            buf.put_u8(10);
+            buf.push(10);
             put_str(buf, address);
             put_str(buf, candidate_type);
         }
@@ -250,47 +251,156 @@ fn get_params(buf: &mut Bytes) -> Result<EventParams, CodecError> {
     }
 }
 
+/// Everything in a record before its events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordHeader<'a> {
+    /// Crawl id.
+    pub crawl: &'a str,
+    /// The visited domain.
+    pub domain: &'a str,
+    /// Tranco rank, for top-list crawls.
+    pub rank: Option<u32>,
+    /// Malicious blocklist category code, for the malicious crawl.
+    pub malicious_category: Option<u8>,
+    /// The crawling OS.
+    pub os: Os,
+    /// Landing-page outcome.
+    pub outcome: LoadOutcome,
+    /// Time the landing page finished loading, ms.
+    pub loaded_at_ms: u64,
+}
+
+impl VisitRecord {
+    /// The record's header fields, borrowed.
+    pub fn header(&self) -> RecordHeader<'_> {
+        RecordHeader {
+            crawl: self.crawl.as_str(),
+            domain: &self.domain,
+            rank: self.rank,
+            malicious_category: self.malicious_category,
+            os: self.os,
+            outcome: self.outcome,
+            loaded_at_ms: self.loaded_at_ms,
+        }
+    }
+}
+
+fn put_header(buf: &mut Vec<u8>, header: &RecordHeader<'_>, event_count: usize) {
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.push(VERSION);
+    put_str(buf, header.crawl);
+    put_str(buf, header.domain);
+    match header.rank {
+        Some(r) => {
+            buf.push(1);
+            put_varint(buf, r as u64);
+        }
+        None => buf.push(0),
+    }
+    match header.malicious_category {
+        Some(c) => {
+            buf.push(1);
+            buf.push(c);
+        }
+        None => buf.push(0),
+    }
+    buf.push(os_code(header.os));
+    match header.outcome {
+        LoadOutcome::Success => buf.push(0),
+        LoadOutcome::Error(err) => {
+            buf.push(1);
+            put_varint(buf, zigzag(err.code() as i64));
+        }
+        LoadOutcome::Crashed => buf.push(2),
+    }
+    put_varint(buf, header.loaded_at_ms);
+    put_varint(buf, event_count as u64);
+}
+
+fn put_event(buf: &mut Vec<u8>, ev: EventView<'_>) {
+    put_varint(buf, ev.time);
+    buf.push(ev.event_type.code() as u8);
+    put_varint(buf, ev.source.id);
+    buf.push(ev.source.kind.code() as u8);
+    buf.push(ev.phase.code() as u8);
+    put_params(buf, ev.params);
+}
+
 /// Encode one record.
 pub fn encode(record: &VisitRecord) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + record.events.len() * 24);
-    buf.put_u16_le(MAGIC);
-    buf.put_u8(VERSION);
-    put_str(&mut buf, record.crawl.as_str());
-    put_str(&mut buf, &record.domain);
-    match record.rank {
-        Some(r) => {
-            buf.put_u8(1);
-            put_varint(&mut buf, r as u64);
-        }
-        None => buf.put_u8(0),
-    }
-    match record.malicious_category {
-        Some(c) => {
-            buf.put_u8(1);
-            buf.put_u8(c);
-        }
-        None => buf.put_u8(0),
-    }
-    buf.put_u8(os_code(record.os));
-    match record.outcome {
-        LoadOutcome::Success => buf.put_u8(0),
-        LoadOutcome::Error(err) => {
-            buf.put_u8(1);
-            put_varint(&mut buf, zigzag(err.code() as i64));
-        }
-        LoadOutcome::Crashed => buf.put_u8(2),
-    }
-    put_varint(&mut buf, record.loaded_at_ms);
-    put_varint(&mut buf, record.events.len() as u64);
+    let mut buf = Vec::with_capacity(64 + record.events.len() * 24);
+    put_header(&mut buf, &record.header(), record.events.len());
     for ev in &record.events {
-        put_varint(&mut buf, ev.time);
-        buf.put_u8(ev.event_type.code() as u8);
-        put_varint(&mut buf, ev.source.id);
-        buf.put_u8(ev.source.kind.code() as u8);
-        buf.put_u8(ev.phase.code() as u8);
-        put_params(&mut buf, &ev.params);
+        put_event(&mut buf, ev.view());
     }
-    buf.freeze()
+    Bytes::from(buf)
+}
+
+/// One worker's reusable record encoding: an [`EventSink`] that
+/// encodes each event the moment it is logged, then
+/// [`finish`](VisitEncoder::finish)es the record around them. The
+/// finished bytes are exactly [`encode`]'s for the owned record with
+/// the same header and events, and are what the store appends and the
+/// journal frames. Its buffers keep their capacity across visits, so
+/// once warmed up a visit encodes without allocating.
+#[derive(Debug, Default)]
+pub struct VisitEncoder {
+    /// The encoded events of the visit in progress.
+    events: Vec<u8>,
+    /// Where each encoded event ends in `events`.
+    ends: Vec<usize>,
+    /// The last finished record.
+    record: Vec<u8>,
+}
+
+impl VisitEncoder {
+    /// An empty encoder.
+    pub fn new() -> VisitEncoder {
+        VisitEncoder::default()
+    }
+
+    /// Start a new visit: forget the events taken so far.
+    pub fn clear(&mut self) {
+        self.events.clear();
+        self.ends.clear();
+    }
+
+    /// Encode the record of the events taken so far under `header`.
+    pub fn finish(&mut self, header: &RecordHeader<'_>) -> &[u8] {
+        self.record.clear();
+        put_header(&mut self.record, header, self.ends.len());
+        self.record.extend_from_slice(&self.events);
+        &self.record
+    }
+
+    /// The last finished record (empty before the first).
+    pub fn record(&self) -> &[u8] {
+        &self.record
+    }
+}
+
+impl EventSink for VisitEncoder {
+    fn event(&mut self, event: EventView<'_>) {
+        put_event(&mut self.events, event);
+        self.ends.push(self.events.len());
+    }
+
+    fn event_count(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn truncate_events(&mut self, keep: usize) {
+        if keep < self.ends.len() {
+            let cut = keep.checked_sub(1).map_or(0, |last| self.ends[last]);
+            self.events.truncate(cut);
+            self.ends.truncate(keep);
+        }
+    }
+
+    /// The events stay in the encoder across an unwind.
+    fn salvage(&mut self) -> Vec<NetLogEvent> {
+        Vec::new()
+    }
 }
 
 /// Decode one record.
@@ -983,9 +1093,9 @@ mod tests {
     #[test]
     fn varint_round_trips() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut bytes = buf.freeze();
+            let mut bytes = Bytes::from(buf);
             assert_eq!(get_varint(&mut bytes).unwrap(), v);
         }
     }
@@ -1043,9 +1153,7 @@ mod tests {
             "héllo wörld".as_bytes().to_vec(),
         ] {
             let mut case = Vec::new();
-            let mut len = BytesMut::new();
-            put_varint(&mut len, payload.len() as u64);
-            case.extend_from_slice(len.freeze().as_ref());
+            put_varint(&mut case, payload.len() as u64);
             case.extend_from_slice(&payload);
             cases.push(case.clone());
             // And a trailing-garbage variant: both readers must stop

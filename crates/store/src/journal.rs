@@ -37,6 +37,7 @@
 //! processes. `kt-faults` drives the same mechanism per-visit via
 //! `Fault::ProcessKill`.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -44,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{self, decode, encode};
@@ -280,7 +281,7 @@ pub struct JournalMeta {
     pub workers: u64,
 }
 
-fn put_delta(buf: &mut BytesMut, delta: &VisitDelta) {
+fn put_delta(buf: &mut Vec<u8>, delta: &VisitDelta) {
     codec::put_varint(buf, delta.cost_ms);
     codec::put_varint(buf, delta.attempted);
     codec::put_varint(buf, delta.successful);
@@ -324,15 +325,25 @@ fn get_delta(buf: &mut Bytes) -> Result<VisitDelta, codec::CodecError> {
     Ok(d)
 }
 
-/// Serialize a visit frame payload.
-fn encode_visit_payload(record: &VisitRecord, delta: &VisitDelta, flags: u8) -> Vec<u8> {
-    let record_bytes = encode(record);
-    let mut buf = BytesMut::with_capacity(record_bytes.len() + 64);
-    buf.put_u8(flags);
-    put_delta(&mut buf, delta);
-    codec::put_varint(&mut buf, record_bytes.len() as u64);
-    buf.put_slice(&record_bytes);
-    buf.freeze().to_vec()
+/// Build one complete frame into `buf`: sync marker, kind, payload
+/// length, the payload `put` writes, and the CRC over kind, length and
+/// payload.
+fn build_frame(buf: &mut Vec<u8>, frame_kind: u8, put: impl FnOnce(&mut Vec<u8>)) {
+    buf.clear();
+    buf.extend_from_slice(&SYNC);
+    buf.push(frame_kind);
+    buf.extend_from_slice(&[0; 4]);
+    put(buf);
+    let len = (buf.len() - 7) as u32;
+    buf[3..7].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&buf[2..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+}
+
+thread_local! {
+    /// Each appending thread builds its frames here, outside the
+    /// writer's lock; the buffer keeps its capacity between frames.
+    static FRAME: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 fn decode_visit_payload(payload: &[u8]) -> Result<ReplayedVisit, codec::CodecError> {
@@ -598,21 +609,29 @@ impl JournalWriter {
         flags: u8,
         kill_now: bool,
     ) {
-        let payload = encode_visit_payload(record, delta, flags);
-        self.append_frame(kind::VISIT, &payload, kill_now);
-        if self.killed() {
-            return;
-        }
-        // Durability flush point: seal roughly one store segment's
-        // worth of visit bytes per fsync.
-        let due = {
-            let inner = self.inner.lock().unwrap();
-            inner.since_flush >= inner.config.flush_every_bytes
-        };
-        if due {
-            self.append_frame(kind::FLUSH, &[], false);
-            self.fsync();
-        }
+        self.append_visit_encoded(&encode(record), delta, flags, kill_now);
+    }
+
+    /// [`JournalWriter::append_visit`] for a record already in codec
+    /// bytes (a [`VisitEncoder`](crate::codec::VisitEncoder)'s
+    /// finished record): the frame carries exactly these bytes.
+    pub fn append_visit_encoded(
+        &self,
+        record: &[u8],
+        delta: &VisitDelta,
+        flags: u8,
+        kill_now: bool,
+    ) {
+        FRAME.with(|frame| {
+            let mut frame = frame.borrow_mut();
+            build_frame(&mut frame, kind::VISIT, |buf| {
+                buf.push(flags);
+                put_delta(buf, delta);
+                codec::put_varint(buf, record.len() as u64);
+                buf.extend_from_slice(record);
+            });
+            self.push_frame(&frame, kill_now, true);
+        });
     }
 
     /// Append a campaign checkpoint and fsync: a completed `(crawl,
@@ -649,6 +668,10 @@ impl JournalWriter {
         if inner.error.is_some() || self.killed() {
             return;
         }
+        self.fsync_locked(&mut inner);
+    }
+
+    fn fsync_locked(&self, inner: &mut WriterInner) {
         // An fsync promises durability for every frame appended so
         // far, so the group buffer drains first.
         match inner.flush_pending().and_then(|()| inner.file.sync_all()) {
@@ -661,6 +684,20 @@ impl JournalWriter {
     }
 
     fn append_frame(&self, frame_kind: u8, payload: &[u8], kill_now: bool) {
+        FRAME.with(|frame| {
+            let mut frame = frame.borrow_mut();
+            build_frame(&mut frame, frame_kind, |buf| buf.extend_from_slice(payload));
+            self.push_frame(&frame, kill_now, false);
+        });
+    }
+
+    /// Append one built frame. The frame and its CRC are complete
+    /// before the lock is taken — neither depends on the frame's index
+    /// — so the critical section is the kill-point check and the copy
+    /// into the group buffer. With `flush_if_due` (visit frames) the
+    /// same critical section also writes the FLUSH marker and fsyncs
+    /// once a flush interval's worth of visit bytes has accumulated.
+    fn push_frame(&self, frame: &[u8], kill_now: bool, flush_if_due: bool) {
         if self.killed() {
             return;
         }
@@ -675,6 +712,25 @@ impl JournalWriter {
         if inner.error.is_some() || self.killed() {
             return;
         }
+        if !self.write_frame_locked(&mut inner, frame, kill_now) {
+            return;
+        }
+        // Durability flush point: seal roughly one store segment's
+        // worth of visit bytes per fsync.
+        if flush_if_due && inner.since_flush >= inner.config.flush_every_bytes {
+            let mut flush = Vec::with_capacity(11);
+            build_frame(&mut flush, kind::FLUSH, |_| {});
+            if self.write_frame_locked(&mut inner, &flush, false) {
+                self.fsync_locked(&mut inner);
+            }
+        }
+    }
+
+    /// Write one frame under the lock, honouring the armed kill point
+    /// and `kill_now`. False once the simulated process is dead (the
+    /// kill fired, or an I/O error latched).
+    fn write_frame_locked(&self, inner: &mut WriterInner, frame: &[u8], kill_now: bool) -> bool {
+        let frame_kind = frame[2];
         let index = inner.stats.frames;
         let armed = match inner.kill {
             Some(k) if k.at_frame == index => Some(k.mode),
@@ -685,12 +741,6 @@ impl JournalWriter {
         } else {
             armed
         };
-        let mut frame = Vec::with_capacity(payload.len() + 11);
-        frame.extend_from_slice(&SYNC);
-        frame.push(frame_kind);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
-        let crc = crc32(&frame[2..]);
         let outcome: io::Result<bool> = (|| match mode {
             Some(KillMode::MidFrame) => {
                 // The torn write: header plus roughly half the payload
@@ -702,7 +752,8 @@ impl JournalWriter {
                 // on-disk bytes at this boundary are identical to the
                 // unbatched writer's.
                 inner.flush_pending()?;
-                let cut = 3 + (frame.len() - 3) / 2;
+                let unsealed = frame.len() - 4;
+                let cut = 3 + (unsealed - 3) / 2;
                 inner.file.write_all(&frame[..cut])?;
                 inner.file.sync_all()?;
                 inner.stats.bytes += cut as u64;
@@ -710,9 +761,8 @@ impl JournalWriter {
                 Ok(true)
             }
             Some(KillMode::PostFrame) => {
-                frame.extend_from_slice(&crc.to_le_bytes());
                 inner.flush_pending()?;
-                inner.file.write_all(&frame)?;
+                inner.file.write_all(frame)?;
                 inner.file.sync_all()?;
                 inner.stats.bytes += frame.len() as u64;
                 inner.stats.fsyncs += 1;
@@ -720,8 +770,7 @@ impl JournalWriter {
                 Ok(true)
             }
             None => {
-                frame.extend_from_slice(&crc.to_le_bytes());
-                inner.pending.extend_from_slice(&frame);
+                inner.pending.extend_from_slice(frame);
                 inner.pending_frames += 1;
                 inner.stats.bytes += frame.len() as u64;
                 inner.stats.frames += 1;
@@ -746,13 +795,15 @@ impl JournalWriter {
             }
         })();
         match outcome {
-            Ok(false) => {}
+            Ok(false) => true,
             Ok(true) => {
                 self.killed.store(true, Ordering::Release);
+                false
             }
             Err(e) => {
                 inner.error = Some(e.to_string());
                 self.killed.store(true, Ordering::Release);
+                false
             }
         }
     }

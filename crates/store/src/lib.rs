@@ -6,7 +6,8 @@
 //!
 //! * [`codec`] — a compact varint-based binary encoding for visit
 //!   records (a NetLog event costs a handful of bytes instead of the
-//!   ~200 bytes of its JSON form);
+//!   ~200 bytes of its JSON form), written from an owned record or
+//!   streamed event by event through a reusable [`VisitEncoder`];
 //! * [`record`] — the [`VisitRecord`]: one (crawl, domain, OS) visit
 //!   with its load outcome and events;
 //! * [`store`] — [`TelemetryStore`]: append-only segments plus an
@@ -37,7 +38,7 @@ pub mod segment;
 pub mod snapshot;
 pub mod store;
 
-pub use codec::{decode_view, VisitView};
+pub use codec::{decode_view, RecordHeader, VisitEncoder, VisitView};
 pub use journal::{
     fsck, replay, CheckpointFrame, FsckOptions, FsckReport, JournalConfig, JournalError,
     JournalMeta, JournalStats, JournalWriter, KillMode, KillSpec, ReplayReport, ReplayedVisit,
@@ -51,4 +52,4 @@ pub use snapshot::{
     IngestOutcome, ManifestEntry, SnapshotFsckReport, SnapshotManifest, SnapshotSaveReport,
     SnapshotStore, CANONICAL_CRAWL, SNAPSHOT_SHARDS,
 };
-pub use store::TelemetryStore;
+pub use store::{CrawlHandle, TelemetryStore};

@@ -176,6 +176,11 @@ struct Interner {
     names: Vec<CrawlId>,
 }
 
+/// A crawl id interned by one [`TelemetryStore`]: appends under it
+/// compare integers and never touch the interner's lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrawlHandle(u32);
+
 /// Concurrent append-only store of visit records.
 #[derive(Default, Debug)]
 pub struct TelemetryStore {
@@ -296,8 +301,29 @@ impl TelemetryStore {
         // Encode outside the lock: the critical section is only the
         // byte copy and the index insert.
         let encoded = encode(record);
-        let crawl = self.intern(&record.crawl);
-        let shard = &self.shards[shard_of(crawl, &record.domain, record.os)];
+        self.append_encoded(
+            self.crawl_handle(&record.crawl),
+            &record.domain,
+            record.os,
+            &encoded,
+        );
+    }
+
+    /// Resolve (interning on first sight) the handle a crawl's records
+    /// are appended under. Resolve once per campaign and pass the
+    /// handle to [`TelemetryStore::append_encoded`]; a handle is only
+    /// meaningful for the store that issued it.
+    pub fn crawl_handle(&self, crawl: &CrawlId) -> CrawlHandle {
+        CrawlHandle(self.intern(crawl))
+    }
+
+    /// Append one already-encoded record of `crawl` (last write wins
+    /// per key). `encoded` must be the codec bytes of a record whose
+    /// crawl, domain and OS are the ones given, as a
+    /// [`VisitEncoder`](crate::codec::VisitEncoder) finishes them.
+    pub fn append_encoded(&self, crawl: CrawlHandle, domain: &str, os: Os, encoded: &[u8]) {
+        let crawl = crawl.0;
+        let shard = &self.shards[shard_of(crawl, domain, os)];
         let mut guard = shard.inner.write().expect("store lock poisoned");
         let inner = &mut *guard;
         if inner.active.len() >= inner.target.unwrap_or(SEGMENT_TARGET) {
@@ -308,17 +334,17 @@ impl TelemetryStore {
             off: inner.active.len() as u32,
             len: encoded.len() as u32,
         };
-        inner.active.extend_from_slice(&encoded);
+        inner.active.extend_from_slice(encoded);
         let by_domain = inner.index.entry(crawl).or_default();
-        // Clone the domain string only on first sight of the domain;
+        // Copy the domain string only on first sight of the domain;
         // overwrites and same-domain other-OS appends borrow.
-        if !by_domain.contains_key(record.domain.as_str()) {
-            by_domain.insert(record.domain.clone(), [None; N_OS]);
+        if !by_domain.contains_key(domain) {
+            by_domain.insert(domain.to_string(), [None; N_OS]);
         }
         let slots = by_domain
-            .get_mut(record.domain.as_str())
+            .get_mut(domain)
             .expect("domain entry just ensured");
-        let slot = &mut slots[os_slot(record.os)];
+        let slot = &mut slots[os_slot(os)];
         if slot.is_none() {
             inner.visits += 1;
         }
