@@ -67,7 +67,7 @@
 use std::time::Instant;
 
 use knock_talk::analysis::{detect_local_view, detect_local_with_page_owned};
-use knock_talk::crawler::{run_crawl, run_crawl_chunked, CrawlConfig, CrawlJob};
+use knock_talk::crawler::{run_crawl, run_crawl_chunked, CrawlConfig, CrawlJob, RunOptions};
 use knock_talk::faults::{Fault, FaultPlan, RetryPolicy};
 use knock_talk::netbase::{DomainName, Os};
 use knock_talk::netlog::{EventParams, EventPhase, EventType, NetLogEvent, SourceRef, SourceType};
@@ -878,7 +878,8 @@ fn bench_snapshot(smoke: bool, seed: u64, calib: f64) -> (serde_json::Value, ser
         // ratios are comparable; fewer sites per snapshot.
         config.series.size = 120;
     }
-    let (study, run_secs) = time(|| SnapshotStudy::run(config.clone()).expect("snapshot study"));
+    let (study, run_secs) =
+        time(|| SnapshotStudy::run(config.clone(), RunOptions::default()).expect("snapshot study"));
     let work = study.work;
     assert!(work.executed_visits > 0, "snapshot series must do work");
     let full_over_executed = work.full_visits as f64 / work.executed_visits as f64;

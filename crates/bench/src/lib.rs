@@ -1,24 +1,10 @@
 //! # kt-bench
 //!
-//! Criterion benchmarks (one target per paper table and figure, plus
-//! pipeline and ablation benches) and the `repro` binary that prints
-//! every regenerated artefact.
-//!
-//! Shared infrastructure: a lazily-built study at a bench-friendly
-//! scale, reused across benchmark functions so Criterion measures the
-//! analysis, not repeated crawling.
+//! Support for the `perf` pipeline benchmark bin: the regression
+//! checks it gates CI on ([`checks`]) and the Prometheus text
+//! exposition validator behind its `--check-prom` mode ([`prom`]).
 
 #![warn(missing_docs)]
 
 pub mod checks;
 pub mod prom;
-
-use std::sync::OnceLock;
-
-use knock_talk::{Study, StudyConfig};
-
-/// The shared study used by the table/figure benches.
-pub fn bench_study() -> &'static Study {
-    static STUDY: OnceLock<Study> = OnceLock::new();
-    STUDY.get_or_init(|| Study::run(StudyConfig::quick(0xBE7C)))
-}

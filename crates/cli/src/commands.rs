@@ -1,8 +1,9 @@
-//! Subcommand implementations.
+//! Subcommand implementations, and the table of flags each accepts.
 
 use knock_talk::analysis::classify::{classify_site, native_app_name};
 use knock_talk::analysis::detect::aggregate_sites;
 use knock_talk::analysis::entropy::scan_entropy;
+use knock_talk::crawler::RunOptions;
 use knock_talk::netbase::services::{BIGIP_PORTS, THREATMETRIX_PORTS};
 use knock_talk::netbase::Os;
 use knock_talk::netlog::Capture;
@@ -10,118 +11,235 @@ use knock_talk::store::{
     CrawlId, FsckOptions, JournalConfig, JournalWriter, KillMode, KillSpec, LoadOutcome,
     SegmentMode, SnapshotStore, SpillConfig, VisitRecord,
 };
-use knock_talk::trace::Trace;
+use knock_talk::trace::{StageProfiler, Trace};
 use knock_talk::{SnapshotStudy, SnapshotStudyConfig, Study, StudyConfig};
 
 use crate::args::Options;
 
-/// Print usage.
-pub fn help() {
-    println!(
-        "knocktalk — reproduce 'Knock and Talk' (IMC 2021)\n\
-         \n\
-         USAGE:\n\
-           knocktalk repro    [--scale quick|standard|paper] [--seed N] [--id T5]\n\
-                              [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]\n\
-                              [--flush-every BYTES] [--group-frames N]\n\
-           knocktalk crawl    [--os windows|linux|mac] [--scale ...] [--seed N] [--save FILE]\n\
-                              [--profile naive|headless-patched|stealth|human-replay]\n\
-                              [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]\n\
-                              [--flush-every BYTES] [--group-frames N]\n\
-           knocktalk bias     [--seed N] [--workers N] [--out FILE] [--metrics-out FILE]\n\
-           knocktalk resume   <study.ktj> [--id T5]\n\
-           knocktalk fsck     <journal.ktj> [--repair yes]\n\
-           knocktalk analyze  <store.ktstore|journal.ktj>\n\
-           knocktalk classify <netlog.json> [--loaded-at MS] [--domain NAME]\n\
-           knocktalk entropy  [--machines N] [--seed N]\n\
-           knocktalk scan     [--os windows|linux|mac] [--seed N] [--ports P,P,...]\n\
-                              [--sequence P,P,P] [--payload HEX] [--udp yes] [--ipv6 yes]\n\
-                              [--lan no] [--concurrency N] [--timeout-ms N] [--retries N]\n\
-                              [--breaker-threshold N] [--breaker-cooldown-ms N]\n\
-                              [--deadline-ms N] [--fault-rate R] [--agreement yes]\n\
-                              [--sites N] [--metrics-out FILE]\n\
-           knocktalk serve    [--tenants N] [--campaigns N] [--sites N] [--seed N]\n\
-                              [--workers N] [--queue-capacity N] [--policy block|shed]\n\
-                              [--max-campaigns N] [--max-visits N] [--deadline-ms N]\n\
-                              [--storm yes] [--check invariants,tables] [--metrics-out FILE]\n\
-                              [--journal-dir DIR] [--flush-every BYTES] [--group-frames N]\n\
-           knocktalk snapshot crawl [--snapshots N] [--size N] [--churn R] [--relist R]\n\
-                              [--content-churn R] [--seed N] [--workers N] [--full yes]\n\
-                              [--store DIR] [--spill DIR] [--journal FILE] [--resume yes]\n\
-                              [--kill-frames N] [--kill-mode mid-frame|post-frame]\n\
-                              [--metrics-out FILE]\n\
-           knocktalk snapshot diff --store DIR [--mode mmap|resident] [--workers N]\n\
-                              [--snapshots L1,L2,...] [--out FILE] [--metrics-out FILE]\n\
-           knocktalk snapshot gc --store DIR [--keep N]\n\
-           knocktalk snapshot fsck --store DIR\n\
-           knocktalk health   [--scale quick|standard|paper] [--seed N]\n\
-           knocktalk profile  [--scale quick|standard|paper] [--seed N] [--workers N]\n\
-           knocktalk help\n\
-         \n\
-         repro, crawl, and resume also accept:\n\
-           --workers N        override the worker-thread count\n\
-           --flush-every B    bytes of visit payload between journal FLUSH fsyncs\n\
-           --group-frames N   journal frames per group-commit write (1 = unbatched)\n\
-           --metrics-out FILE write the campaign's metrics registry in Prometheus\n\
-                              text exposition format (worker-count-invariant)\n\
-           --trace-out FILE   write the span/event trace (simulated clock) as JSONL\n\
-         \n\
-         COMMANDS:\n\
-           repro     regenerate the paper's tables and figures (all, or one --id);\n\
-                     --journal writes a checksummed write-ahead log (KTSTORE2) so a\n\
-                     crash can be resumed; --kill-frames N simulates `kill -9` while\n\
-                     writing frame N (mid-frame tears it, post-frame dies just after)\n\
-           crawl     run one campaign on one OS and print Table-1 statistics\n\
-                     (--journal/--kill-frames work here too; resume is study-level);\n\
-                     --profile selects how the crawler presents to anti-bot sensors\n\
-           bias      crawl the sensor-planted population once per crawler profile and\n\
-                     print observed-vs-true local-activity rates with per-archetype\n\
-                     confusion cells — the measurement bias a detectable crawler\n\
-                     suffers; the table is byte-identical for any --workers\n\
-           resume    replay a study journal, re-run only what the crash lost, and\n\
-                     print the tables — byte-identical to a run that never crashed\n\
-           fsck      store doctor: scan a journal for torn tails, bad CRCs, duplicate\n\
-                     and orphan records; --repair yes quarantines the damage and\n\
-                     rewrites a clean journal (fsync-before-rename)\n\
-           analyze   load a telemetry snapshot (KTSTORE1) or journal (KTSTORE2)\n\
-                     and report local activity\n\
-           classify  analyse a Chrome NetLog JSON capture for local traffic\n\
-           entropy   measure the fingerprinting entropy of the observed scans\n\
-           scan      actively knock loopback (and LAN) ports on a simulated machine:\n\
-                     TCP plus optional UDP and IPv6 sweeps, ordered knock sequences,\n\
-                     shared retry/backoff policy, per-host circuit breakers, and a\n\
-                     total deadline budget that degrades to an explicit unprobed set;\n\
-                     results are byte-identical for any --concurrency; --fault-rate R\n\
-                     arms a seeded fault storm; --agreement yes cross-validates the\n\
-                     active scan against the passive 20 s capture window and prints\n\
-                     the per-class agreement matrix\n\
-           serve     run a synthetic multi-tenant fleet through the resident campaign\n\
-                     service (admission control, bounded queues, deadline budgets);\n\
-                     --storm yes arms a deterministic fault storm, --check fails the\n\
-                     exit code unless degradation was deterministic and accounted\n\
-           snapshot  the longitudinal engine. `crawl` runs an N-snapshot series over a\n\
-                     churning top list: snapshot 0 is crawled in full, later snapshots\n\
-                     recrawl only changed or newly-listed sites and link unchanged rows\n\
-                     by content reference (--full yes forces full recrawls). --store DIR\n\
-                     persists the content-addressed dedup store: sealed chunks-NNNN.ktc\n\
-                     segment files (KTSNAP1 frames: hash, length, canonical record\n\
-                     bytes) plus a refcounted MANIFEST.json mapping each snapshot's\n\
-                     (domain, os) rows to chunk hashes — identical content across\n\
-                     snapshots is stored once. `diff` streams N manifests shard-parallel\n\
-                     (zero-copy mmap by default) and prints adoption curves, behaviour\n\
-                     churn matrices, and population flows, byte-identical for any\n\
-                     --workers. `gc` drops all but the newest --keep snapshots, sweeps\n\
-                     unreferenced chunks, and rewrites the store compacted. `fsck`\n\
-                     re-hashes every chunk and reconciles refcounts; a damaged store\n\
-                     fails the exit code\n\
-           health    run the study and print the crawl health report\n\
-                     (retries, recrawls, recoveries, quarantines per campaign/OS)\n\
-           profile   run the study under the stage profiler and print per-stage\n\
-                     real time, simulated time, and allocator traffic"
-    );
+/// One subcommand: its name, its positional arguments, the flags it
+/// accepts, and its body. Parsing and `knocktalk help`'s usage lines
+/// both read this one declaration.
+pub struct Command {
+    /// `repro`, `snapshot crawl`, …
+    pub name: &'static str,
+    /// Its positional arguments, e.g. `<journal.ktj>`: it takes at
+    /// most this many.
+    pub args: &'static str,
+    /// Accepted flags in space-separated groups, each `name=VALUE`
+    /// (the value is the usage hint).
+    pub flags: &'static [&'static str],
+    /// The subcommand itself.
+    pub run: fn(&Options) -> Result<(), String>,
 }
 
-fn study_config(opts: &Options) -> Result<StudyConfig, String> {
+const fn command(
+    name: &'static str,
+    args: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Options) -> Result<(), String>,
+) -> Command {
+    Command {
+        name,
+        args,
+        flags,
+        run,
+    }
+}
+
+/// Population scale, seed and worker count of a study.
+const STUDY: &str = "scale=quick|standard|paper seed=N workers=N";
+/// A new write-ahead journal with its crash, flush and group-commit
+/// knobs.
+const JOURNAL: &str = "journal=FILE kill-frames=N kill-mode=mid-frame|post-frame \
+                       flush-every=BYTES group-frames=N";
+/// The metrics and trace outputs.
+const OUTPUTS: &str = "metrics-out=FILE trace-out=FILE";
+/// The crawling OS.
+const OS: &str = "os=windows|linux|mac";
+
+/// Every subcommand `knocktalk` dispatches to.
+pub const COMMANDS: &[Command] = &[
+    command("repro", "", &[STUDY, "id=T5", JOURNAL, OUTPUTS], repro),
+    command(
+        "crawl",
+        "",
+        &[
+            OS,
+            STUDY,
+            "save=FILE profile=naive|headless-patched|stealth|human-replay",
+            JOURNAL,
+            OUTPUTS,
+        ],
+        crawl,
+    ),
+    command(
+        "bias",
+        "",
+        &["seed=N workers=N out=FILE metrics-out=FILE"],
+        bias,
+    ),
+    command("resume", "<study.ktj>", &["id=T5", OUTPUTS], resume),
+    command("fsck", "<journal.ktj>", &["repair=yes|no"], fsck),
+    command("analyze", "<store.ktstore|journal.ktj>", &[], analyze),
+    command(
+        "classify",
+        "<netlog.json>",
+        &["loaded-at=MS domain=NAME", OS],
+        classify,
+    ),
+    command("entropy", "", &["machines=N seed=N"], entropy),
+    command(
+        "scan",
+        "",
+        &[
+            OS,
+            "seed=N ports=P,P,... sequence=P,P,P payload=HEX udp=yes|no ipv6=yes|no lan=yes|no",
+            "concurrency=N timeout-ms=N retries=N breaker-threshold=N breaker-cooldown-ms=N",
+            "deadline-ms=N fault-rate=R agreement=yes|no sites=N metrics-out=FILE",
+        ],
+        scan,
+    ),
+    command(
+        "serve",
+        "",
+        &[
+            "tenants=N campaigns=N sites=N seed=N workers=N queue-capacity=N policy=block|shed",
+            "max-campaigns=N max-visits=N deadline-ms=N storm=yes|no check=invariants,tables",
+            "metrics-out=FILE journal-dir=DIR flush-every=BYTES group-frames=N",
+        ],
+        serve,
+    ),
+    command(
+        "snapshot crawl",
+        "",
+        &[
+            "snapshots=N size=N churn=R relist=R content-churn=R seed=N workers=N full=yes|no",
+            "store=DIR spill=DIR resume=yes|no",
+            JOURNAL,
+            OUTPUTS,
+        ],
+        snapshot_crawl,
+    ),
+    command(
+        "snapshot diff",
+        "",
+        &[
+            "store=DIR mode=mmap|resident workers=N snapshots=L1,L2,... out=FILE",
+            OUTPUTS,
+        ],
+        snapshot_diff,
+    ),
+    command(
+        "snapshot gc",
+        "",
+        &["store=DIR mode=mmap|resident keep=N"],
+        snapshot_gc,
+    ),
+    command("snapshot fsck", "", &["store=DIR"], snapshot_fsck_cmd),
+    command("health", "", &[STUDY], health),
+    command("profile", "", &[STUDY, OUTPUTS], profile),
+    command("help", "", &[], |_| {
+        help();
+        Ok(())
+    }),
+];
+
+/// Print usage: one line group per [`COMMANDS`] entry, then what the
+/// shared flags and each command do.
+pub fn help() {
+    println!("knocktalk — reproduce 'Knock and Talk' (IMC 2021)\n\nUSAGE:");
+    for command in COMMANDS {
+        let mut line = format!("  knocktalk {} {}", command.name, command.args)
+            .trim_end()
+            .to_string();
+        let flags = command
+            .flags
+            .iter()
+            .flat_map(|group| group.split_whitespace());
+        for flag in flags {
+            let (name, value) = flag.split_once('=').unwrap_or((flag, ""));
+            let item = format!(" [--{name} {value}]");
+            if line.len() + item.len() > 80 {
+                println!("{line}");
+                line = " ".repeat(12);
+            }
+            line.push_str(&item);
+        }
+        println!("{line}");
+    }
+    println!("{HELP}");
+}
+
+const HELP: &str = "
+Shared by the commands that run a study:
+  --scale S          quick | standard | paper (default quick)
+  --seed N           population seed
+  --workers N        override the worker-thread count
+  --journal FILE     write a checksummed write-ahead log (KTSTORE2)
+  --kill-frames N    simulate `kill -9` while writing frame N
+  --kill-mode M      mid-frame (tear frame N) | post-frame (die just after it)
+  --flush-every B    bytes of visit payload between journal FLUSH fsyncs
+  --group-frames N   journal frames per group-commit write (1 = unbatched)
+  --metrics-out FILE write the run's metrics registry in Prometheus
+                     text exposition format (worker-count-invariant)
+  --trace-out FILE   write the span/event trace (simulated clock) as JSONL
+
+Each command accepts only the flags listed for it. An unknown flag, a
+surplus argument, a zero count or a yes/no switch given any other
+value is an error. A resume takes its worker count from the journal.
+
+COMMANDS:
+  repro     regenerate the paper's tables and figures (all, or one --id);
+            a --journal run killed by --kill-frames is finished by resume
+  crawl     run one campaign on one OS and print Table-1 statistics;
+            --profile selects how the crawler presents to anti-bot sensors
+  bias      crawl the sensor-planted population once per crawler profile and
+            print observed-vs-true local-activity rates with per-archetype
+            confusion cells — the measurement bias a detectable crawler
+            suffers; the table is byte-identical for any --workers
+  resume    replay a study journal, re-run only what the crash lost, and
+            print what repro prints — byte-identical to a run that never
+            crashed
+  fsck      store doctor: scan a journal for torn tails, bad CRCs, duplicate
+            and orphan records; --repair yes quarantines the damage and
+            rewrites a clean journal (fsync-before-rename)
+  analyze   load a telemetry snapshot (KTSTORE1) or journal (KTSTORE2)
+            and report local activity
+  classify  analyse a Chrome NetLog JSON capture for local traffic
+  entropy   measure the fingerprinting entropy of the observed scans
+  scan      actively knock loopback (and LAN) ports on a simulated machine:
+            TCP plus optional UDP and IPv6 sweeps, ordered knock sequences,
+            shared retry/backoff policy, per-host circuit breakers, and a
+            total deadline budget that degrades to an explicit unprobed set;
+            results are byte-identical for any --concurrency; --fault-rate R
+            arms a seeded fault storm; --agreement yes cross-validates the
+            active scan against the passive 20 s capture window and prints
+            the per-class agreement matrix
+  serve     run a synthetic multi-tenant fleet through the resident campaign
+            service (admission control, bounded queues, deadline budgets);
+            --storm yes arms a deterministic fault storm, --check fails the
+            exit code unless degradation was deterministic and accounted
+  snapshot  the longitudinal engine. `crawl` runs an N-snapshot series over a
+            churning top list: snapshot 0 is crawled in full, later snapshots
+            recrawl only changed or newly-listed sites and link unchanged rows
+            by content reference (--full yes forces full recrawls). --store DIR
+            persists the content-addressed dedup store: sealed chunks-NNNN.ktc
+            segment files (KTSNAP1 frames: hash, length, canonical record
+            bytes) plus a refcounted MANIFEST.json mapping each snapshot's
+            (domain, os) rows to chunk hashes — identical content across
+            snapshots is stored once. `diff` streams N manifests shard-parallel
+            (zero-copy mmap by default) and prints adoption curves, behaviour
+            churn matrices, and population flows, byte-identical for any
+            --workers. `gc` drops all but the newest --keep snapshots, sweeps
+            unreferenced chunks, and rewrites the store compacted. `fsck`
+            re-hashes every chunk and reconciles refcounts; a damaged store
+            fails the exit code
+  health    run the study and print the crawl health report
+            (retries, recrawls, recoveries, quarantines per campaign/OS)
+  profile   run the study and print the stage table its driver records:
+            per-stage real time, simulated time, and allocator traffic";
+
+fn study_config(opts: &Options, workers: Option<usize>) -> Result<StudyConfig, String> {
     let seed = opts.get_u64("seed", 0x00C0_FFEE)?;
     let mut config = match opts.get("scale").unwrap_or("quick") {
         "quick" => StudyConfig::quick(seed),
@@ -129,38 +247,8 @@ fn study_config(opts: &Options) -> Result<StudyConfig, String> {
         "paper" => StudyConfig::paper(seed),
         other => return Err(format!("unknown --scale {other:?}")),
     };
-    if let Some(workers) = opts.get("workers") {
-        config.workers = workers
-            .parse::<usize>()
-            .ok()
-            .filter(|&w| w >= 1)
-            .ok_or_else(|| format!("flag --workers expects a positive integer, got {workers:?}"))?;
-    }
+    config.workers = workers.unwrap_or(config.workers);
     Ok(config)
-}
-
-/// Build a [`Trace`] when `--metrics-out` or `--trace-out` asks for
-/// one; campaigns run unobserved otherwise.
-fn trace_from_opts(opts: &Options) -> Option<Trace> {
-    (opts.get("metrics-out").is_some() || opts.get("trace-out").is_some()).then(Trace::new)
-}
-
-/// Write the requested observability artefacts: Prometheus text
-/// exposition to `--metrics-out`, the JSONL span/event trace to
-/// `--trace-out`.
-fn write_trace_outputs(opts: &Options, trace: Option<&Trace>) -> Result<(), String> {
-    let Some(trace) = trace else { return Ok(()) };
-    if let Some(path) = opts.get("metrics-out") {
-        std::fs::write(path, trace.export_prometheus())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("metrics written to {path}");
-    }
-    if let Some(path) = opts.get("trace-out") {
-        std::fs::write(path, trace.export_trace_jsonl())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("trace written to {path}");
-    }
-    Ok(())
 }
 
 /// Build a [`JournalConfig`] from `--flush-every` (bytes of visit
@@ -169,114 +257,171 @@ fn write_trace_outputs(opts: &Options, trace: Option<&Trace>) -> Result<(), Stri
 /// the writer's stock cadence untouched.
 fn journal_config_from_opts(opts: &Options) -> Result<JournalConfig, String> {
     let mut config = JournalConfig::default();
-    if let Some(bytes) = opts.get("flush-every") {
-        let bytes: u64 = bytes
-            .parse()
-            .map_err(|_| format!("flag --flush-every expects bytes, got {bytes:?}"))?;
-        if bytes == 0 {
-            return Err("--flush-every must be positive".to_string());
-        }
-        config.flush_every_bytes = bytes;
+    if let Some(bytes) = opts.positive("flush-every")? {
+        config.flush_every_bytes = bytes as u64;
     }
-    if let Some(frames) = opts.get("group-frames") {
-        let frames: u64 = frames
-            .parse()
-            .map_err(|_| format!("flag --group-frames expects an integer, got {frames:?}"))?;
-        if frames == 0 {
-            return Err("--group-frames must be positive (1 disables batching)".to_string());
-        }
-        config.group_max_frames = frames;
+    if let Some(frames) = opts.positive("group-frames")? {
+        config.group_max_frames = frames as u64;
     }
     Ok(config)
 }
 
-/// Build a journal writer from `--journal`, arming `--kill-frames` /
-/// `--kill-mode` when given. `Ok(None)` when no journal was requested.
-fn journal_from_opts(opts: &Options) -> Result<Option<JournalWriter>, String> {
-    let config = journal_config_from_opts(opts)?;
-    let Some(path) = opts.get("journal") else {
-        if opts.get("kill-frames").is_some() || opts.get("kill-mode").is_some() {
-            return Err("--kill-frames/--kill-mode need --journal".to_string());
-        }
-        return Ok(None);
-    };
-    let journal = JournalWriter::create_with(std::path::Path::new(path), config)
-        .map_err(|e| e.to_string())?;
-    if let Some(at) = opts.get("kill-frames") {
-        let at_frame: u64 = at
-            .parse()
-            .map_err(|_| format!("flag --kill-frames expects an integer, got {at:?}"))?;
-        let mode = match opts.get("kill-mode").unwrap_or("mid-frame") {
-            "mid-frame" => KillMode::MidFrame,
-            "post-frame" => KillMode::PostFrame,
-            other => return Err(format!("unknown --kill-mode {other:?}")),
-        };
-        journal.set_kill(Some(KillSpec { at_frame, mode }));
-    } else if opts.get("kill-mode").is_some() {
-        return Err("--kill-mode needs --kill-frames".to_string());
-    }
-    Ok(Some(journal))
+/// The flags every study-running subcommand shares, parsed once: the
+/// worker count, the write-ahead journal with its kill, flush and
+/// group-commit flags, and the metrics/trace outputs.
+struct RunFlags {
+    /// `--workers`, when given.
+    workers: Option<usize>,
+    /// The new journal `--journal` asked for, kill switch armed.
+    journal: Option<JournalWriter>,
+    /// A trace, when `--metrics-out` or `--trace-out` asks for one;
+    /// runs go unobserved otherwise.
+    trace: Option<Trace>,
+    metrics_out: Option<String>,
+    trace_out: Option<String>,
 }
 
-/// Report a simulated crash and how to recover from it. Returns true
-/// when the journal was killed (the caller should stop printing).
-fn report_if_killed(journal: &JournalWriter) -> bool {
-    if !journal.killed() {
-        return false;
+impl RunFlags {
+    /// Parse the shared flags. With `new_journal`, `--journal FILE`
+    /// creates the file (arming `--kill-frames`/`--kill-mode`); without
+    /// it the caller appends to an existing journal itself, and the
+    /// flags that shape a new one are errors.
+    fn parse(opts: &Options, new_journal: bool) -> Result<RunFlags, String> {
+        let shaping = ["kill-frames", "kill-mode", "flush-every", "group-frames"];
+        let journal = match opts.get("journal") {
+            Some(path) if new_journal => {
+                let config = journal_config_from_opts(opts)?;
+                let journal = JournalWriter::create_with(std::path::Path::new(path), config)
+                    .map_err(|e| e.to_string())?;
+                journal.set_kill(kill_spec(opts)?);
+                Some(journal)
+            }
+            _ if shaping.iter().any(|flag| opts.get(flag).is_some()) => {
+                return Err(if new_journal {
+                    "--kill-frames/--kill-mode/--flush-every/--group-frames need --journal"
+                } else {
+                    "--kill-frames/--kill-mode/--flush-every/--group-frames only apply to a new \
+                     journal, not a resumed one"
+                }
+                .to_string());
+            }
+            _ => None,
+        };
+        let metrics_out = opts.get("metrics-out").map(str::to_string);
+        let trace_out = opts.get("trace-out").map(str::to_string);
+        Ok(RunFlags {
+            workers: opts.positive("workers")?,
+            journal,
+            trace: (metrics_out.is_some() || trace_out.is_some()).then(Trace::new),
+            metrics_out,
+            trace_out,
+        })
     }
-    let stats = journal.stats();
-    eprintln!(
-        "simulated crash: process died while journaling (frame {}, {} bytes on disk)",
-        stats.frames, stats.bytes
-    );
-    eprintln!(
-        "recover with: knocktalk resume {} (or inspect with: knocktalk fsck {})",
-        journal.path().display(),
-        journal.path().display()
-    );
-    true
+
+    /// The journal and trace as a run's side channels.
+    fn options(&self) -> RunOptions<'_> {
+        RunOptions {
+            journal: self.journal.as_ref(),
+            trace: self.trace.as_ref(),
+        }
+    }
+
+    /// True when the simulated crash fired: the run is dead and the
+    /// subcommand prints no results.
+    fn killed(&self) -> bool {
+        self.options().killed()
+    }
+
+    /// The finish step every run shares: report the journal — the
+    /// simulated crash and how to recover from it, or what was
+    /// written — then write the requested metrics and trace files.
+    fn finish(&self) -> Result<(), String> {
+        if let Some(journal) = &self.journal {
+            let stats = journal.stats();
+            let path = journal.path().display();
+            if journal.killed() {
+                eprintln!(
+                    "simulated crash: process died while journaling (frame {}, {} bytes on disk)",
+                    stats.frames, stats.bytes
+                );
+                eprintln!(
+                    "recover with: knocktalk resume {path} (or inspect with: knocktalk fsck {path})"
+                );
+            } else {
+                eprintln!(
+                    "journaled {} visit frames, {} checkpoints, {} bytes, {} fsyncs to {path}",
+                    stats.visits, stats.checkpoints, stats.bytes, stats.fsyncs
+                );
+            }
+        }
+        let Some(trace) = &self.trace else {
+            return Ok(());
+        };
+        if let Some(path) = &self.metrics_out {
+            std::fs::write(path, trace.export_prometheus())
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("metrics written to {path}");
+        }
+        if let Some(path) = &self.trace_out {
+            std::fs::write(path, trace.export_trace_jsonl())
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("trace written to {path}");
+        }
+        Ok(())
+    }
+}
+
+/// The crash `--kill-frames N` (with `--kill-mode`) simulates, if any.
+fn kill_spec(opts: &Options) -> Result<Option<KillSpec>, String> {
+    let Some(at) = opts.get("kill-frames") else {
+        return match opts.get("kill-mode") {
+            Some(_) => Err("--kill-mode needs --kill-frames".to_string()),
+            None => Ok(None),
+        };
+    };
+    let at_frame: u64 = at
+        .parse()
+        .map_err(|_| format!("flag --kill-frames expects an integer, got {at:?}"))?;
+    let mode = match opts.get("kill-mode").unwrap_or("mid-frame") {
+        "mid-frame" => KillMode::MidFrame,
+        "post-frame" => KillMode::PostFrame,
+        other => return Err(format!("unknown --kill-mode {other:?}")),
+    };
+    Ok(Some(KillSpec { at_frame, mode }))
+}
+
+/// Print a study's results: the `--id` experiment alone, or every
+/// paper table and figure followed by the extensions. `repro` and
+/// `resume` print through here, so a resumed study's output is the
+/// uninterrupted one's.
+fn print_tables(study: &Study, id: Option<&str>) -> Result<(), String> {
+    if let Some(id) = id {
+        let text = study
+            .experiment(id)
+            .ok_or_else(|| format!("unknown experiment id {id:?}"))?;
+        println!("{text}");
+        return Ok(());
+    }
+    for (id, text) in study.all_experiments() {
+        println!("=== [{id}] ===\n{text}");
+    }
+    for id in knock_talk::experiments::EXTENDED_IDS {
+        if let Some(text) = study.experiment(id) {
+            println!("=== [{id}] (extension) ===\n{text}");
+        }
+    }
+    Ok(())
 }
 
 /// `knocktalk repro`.
 pub fn repro(opts: &Options) -> Result<(), String> {
-    let config = study_config(opts)?;
-    let journal = journal_from_opts(opts)?;
-    let trace = trace_from_opts(opts);
-    let study = Study::run_journaled_observed(config, journal.as_ref(), trace.as_ref());
-    write_trace_outputs(opts, trace.as_ref())?;
-    if let Some(journal) = &journal {
-        if report_if_killed(journal) {
-            return Ok(());
-        }
-        let stats = journal.stats();
-        eprintln!(
-            "journaled {} visit frames, {} checkpoints, {} bytes, {} fsyncs to {}",
-            stats.visits,
-            stats.checkpoints,
-            stats.bytes,
-            stats.fsyncs,
-            journal.path().display()
-        );
+    let flags = RunFlags::parse(opts, true)?;
+    let study = Study::run_with(study_config(opts, flags.workers)?, flags.options());
+    flags.finish()?;
+    if flags.killed() {
+        return Ok(());
     }
-    match opts.get("id") {
-        Some(id) => {
-            let text = study
-                .experiment(id)
-                .ok_or_else(|| format!("unknown experiment id {id:?}"))?;
-            println!("{text}");
-        }
-        None => {
-            for (id, text) in study.all_experiments() {
-                println!("=== [{id}] ===\n{text}");
-            }
-            for id in knock_talk::experiments::EXTENDED_IDS {
-                if let Some(text) = study.experiment(id) {
-                    println!("=== [{id}] (extension) ===\n{text}");
-                }
-            }
-        }
-    }
-    Ok(())
+    print_tables(&study, opts.get("id"))
 }
 
 fn parse_os(s: &str) -> Result<Os, String> {
@@ -290,21 +435,15 @@ fn parse_os(s: &str) -> Result<Os, String> {
 
 /// `knocktalk crawl`.
 pub fn crawl(opts: &Options) -> Result<(), String> {
-    use knock_talk::crawler::{CrawlConfig, CrawlJob, ResumePlan};
+    use knock_talk::crawler::{run_crawl_with, CrawlConfig, ResumePlan};
     use knock_talk::store::TelemetryStore;
     use knock_talk::webgen::WebPopulation;
 
-    let config = study_config(opts)?;
+    let flags = RunFlags::parse(opts, true)?;
+    let config = study_config(opts, flags.workers)?;
     let os = parse_os(opts.get("os").unwrap_or("linux"))?;
     let population = WebPopulation::generate(config.population);
-    let jobs: Vec<CrawlJob> = population
-        .sites2020
-        .iter()
-        .map(|site| CrawlJob {
-            site,
-            malicious_category: None,
-        })
-        .collect();
+    let jobs = knock_talk::study::campaign_jobs(&population, &CrawlId::top2020());
     let store = TelemetryStore::new();
     let mut crawl_config = CrawlConfig::paper(CrawlId::top2020(), os, config.population.seed);
     crawl_config.workers = config.workers;
@@ -314,33 +453,11 @@ pub fn crawl(opts: &Options) -> Result<(), String> {
                 format!("unknown --profile {name:?} (naive|headless-patched|stealth|human-replay)")
             })?;
     }
-    let journal = journal_from_opts(opts)?;
-    let trace = trace_from_opts(opts);
-    let stats = knock_talk::crawler::run_crawl_resumed_observed(
-        &jobs,
-        &ResumePlan::fresh(jobs.len()),
-        &crawl_config,
-        &store,
-        journal.as_ref(),
-        trace.as_ref(),
-    );
-    if let Some(journal) = &journal {
-        journal.sync();
-        if let Some(t) = trace.as_ref() {
-            knock_talk::record_journal_stats(t, &journal.stats());
-        }
-        if report_if_killed(journal) {
-            write_trace_outputs(opts, trace.as_ref())?;
-            return Ok(());
-        }
-        let jstats = journal.stats();
-        eprintln!(
-            "journaled {} visit frames ({} bytes, {} fsyncs) to {}",
-            jstats.visits,
-            jstats.bytes,
-            jstats.fsyncs,
-            journal.path().display()
-        );
+    let plan = ResumePlan::fresh(jobs.len());
+    let stats = run_crawl_with(&jobs, &plan, &crawl_config, &store, flags.options());
+    flags.options().sync_journal();
+    if flags.killed() {
+        return flags.finish();
     }
     println!(
         "crawled {} pages on {}: {} ok ({:.1}%), {} failed",
@@ -357,7 +474,7 @@ pub fn crawl(opts: &Options) -> Result<(), String> {
         &store,
         &CrawlId::top2020(),
         crawl_config.workers,
-        trace.as_ref(),
+        flags.trace.as_ref(),
     );
     println!(
         "locally-active sites: {} localhost, {} LAN",
@@ -367,7 +484,7 @@ pub fn crawl(opts: &Options) -> Result<(), String> {
     if let Some(path) = opts.get("save") {
         let report = knock_talk::store::save(&store, std::path::Path::new(path))
             .map_err(|e| e.to_string())?;
-        if let Some(t) = trace.as_ref() {
+        if let Some(t) = flags.trace.as_ref() {
             knock_talk::record_save_report(t, &report);
         }
         println!(
@@ -375,19 +492,17 @@ pub fn crawl(opts: &Options) -> Result<(), String> {
             report.records, report.bytes, report.fsyncs
         );
     }
-    write_trace_outputs(opts, trace.as_ref())?;
-    Ok(())
+    flags.finish()
 }
 
 /// `knocktalk bias`: crawl the sensor-planted population once per
 /// crawler profile and print the observed-vs-true bias table.
 pub fn bias(opts: &Options) -> Result<(), String> {
     use knock_talk::analysis::{record_bias_metrics, run_bias_sweep, BiasConfig};
-    use knock_talk::trace::metrics::Registry;
-    use knock_talk::trace::names::describe_defaults;
 
+    let flags = RunFlags::parse(opts, true)?;
     let seed = opts.get_u64("seed", 0x00C0_FFEE)?;
-    let workers = opts.get_u64("workers", 4)?.max(1) as usize;
+    let workers = flags.workers.unwrap_or(4);
     let report = run_bias_sweep(&BiasConfig { seed, workers });
     let rendered = report.render();
     match opts.get("out") {
@@ -397,15 +512,10 @@ pub fn bias(opts: &Options) -> Result<(), String> {
         }
         None => print!("{rendered}"),
     }
-    if let Some(path) = opts.get("metrics-out") {
-        let mut reg = Registry::new();
-        describe_defaults(&mut reg);
-        record_bias_metrics(&report, &mut reg);
-        std::fs::write(path, reg.render_prometheus())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("metrics written to {path}");
+    if let Some(trace) = &flags.trace {
+        trace.with_registry(|reg| record_bias_metrics(&report, reg));
     }
-    Ok(())
+    flags.finish()
 }
 
 /// `knocktalk analyze <store.ktstore>`.
@@ -523,32 +633,19 @@ pub fn resume(opts: &Options) -> Result<(), String> {
     let durability = knock_talk::analysis::report::DurabilityReport::from_replay(&replayed);
     eprint!("{}", durability.render());
     drop(replayed);
-    let trace = trace_from_opts(opts);
-    let study = Study::resume_observed(path, trace.as_ref()).map_err(|e| e.to_string())?;
-    write_trace_outputs(opts, trace.as_ref())?;
-    match opts.get("id") {
-        Some(id) => {
-            let text = study
-                .experiment(id)
-                .ok_or_else(|| format!("unknown experiment id {id:?}"))?;
-            println!("{text}");
-        }
-        None => {
-            for (id, text) in study.all_experiments() {
-                println!("=== [{id}] ===\n{text}");
-            }
-        }
-    }
-    Ok(())
+    let flags = RunFlags::parse(opts, true)?;
+    let study = Study::resume(path, flags.trace.as_ref()).map_err(|e| e.to_string())?;
+    flags.finish()?;
+    print_tables(&study, opts.get("id"))
 }
 
-/// `knocktalk fsck <journal.ktj> [--repair yes]`.
+/// `knocktalk fsck <journal.ktj> [--repair yes|no]`.
 pub fn fsck(opts: &Options) -> Result<(), String> {
     let path = opts
         .positional()
         .first()
         .ok_or("fsck needs a journal file path")?;
-    let repair = matches!(opts.get("repair"), Some("yes" | "true" | "1"));
+    let repair = opts.switch("repair", false)?;
     let report = knock_talk::store::fsck(
         std::path::Path::new(path),
         FsckOptions {
@@ -595,26 +692,28 @@ pub fn fsck(opts: &Options) -> Result<(), String> {
 
 /// `knocktalk health`.
 pub fn health(opts: &Options) -> Result<(), String> {
-    let study = Study::run(study_config(opts)?);
+    let flags = RunFlags::parse(opts, true)?;
+    let study = Study::run(study_config(opts, flags.workers)?);
     println!("{}", knock_talk::experiments::health_report(&study));
     Ok(())
 }
 
-/// `knocktalk profile`: run the full study under the stage profiler
-/// and print the per-stage time/allocation breakdown.
+/// `knocktalk profile`: run the full study and print the stage table
+/// its driver records — per-stage time and allocation breakdown.
 pub fn profile(opts: &Options) -> Result<(), String> {
-    let config = study_config(opts)?;
-    let trace = trace_from_opts(opts);
-    let mut profiler = knock_talk::trace::StageProfiler::new();
-    let study = knock_talk::profile_study(config, &mut profiler, trace.as_ref());
-    write_trace_outputs(opts, trace.as_ref())?;
+    let mut flags = RunFlags::parse(opts, true)?;
+    let config = study_config(opts, flags.workers)?;
+    let trace = flags.trace.get_or_insert_with(Trace::new);
+    let study = Study::run_with(config, RunOptions::traced(trace));
+    let table = trace.with_stages(StageProfiler::render_table);
+    flags.finish()?;
     println!(
         "profiled study: seed {}, {} workers, {} visit records",
         study.config.population.seed,
         study.config.workers,
         study.store.len()
     );
-    print!("{}", profiler.render_table());
+    print!("{table}");
     Ok(())
 }
 
@@ -644,11 +743,11 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     use knock_talk::webgen::{PopulationConfig, WebPopulation, WebSite};
 
     let seed = opts.get_u64("seed", 0x00C0_FFEE)?;
-    let tenants = opts.get_u64("tenants", 3)?.max(1) as usize;
-    let campaigns = opts.get_u64("campaigns", 3)?.max(1) as usize;
-    let sites_per = opts.get_u64("sites", 6)?.max(1) as usize;
-    let workers = opts.get_u64("workers", 4)?.max(1) as usize;
-    let queue_capacity = opts.get_u64("queue-capacity", 2)?.max(1) as usize;
+    let tenants = opts.positive("tenants")?.unwrap_or(3);
+    let campaigns = opts.positive("campaigns")?.unwrap_or(3);
+    let sites_per = opts.positive("sites")?.unwrap_or(6);
+    let workers = opts.positive("workers")?.unwrap_or(4);
+    let queue_capacity = opts.positive("queue-capacity")?.unwrap_or(2);
     let deadline_ms = opts.get_u64("deadline-ms", 0)?;
     let max_campaigns = opts.get_u64("max-campaigns", 0)? as usize;
     let max_visits = opts.get_u64("max-visits", 0)? as usize;
@@ -657,10 +756,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         "shed" => OverflowPolicy::Shed,
         other => return Err(format!("unknown --policy {other:?} (block|shed)")),
     };
-    let storm = matches!(
-        opts.get("storm").unwrap_or("no"),
-        "yes" | "on" | "true" | "1"
-    );
+    let storm = opts.switch("storm", false)?;
     let journal_dir = opts.get("journal-dir").map(std::path::PathBuf::from);
     let journal_config = journal_config_from_opts(opts)?;
     let quota = TenantQuota {
@@ -905,16 +1001,6 @@ fn parse_port_list(list: &str) -> Result<Vec<u16>, String> {
     Ok(ports)
 }
 
-/// A `--flag yes|no` switch with a default.
-fn parse_switch(opts: &Options, key: &str, default: bool) -> Result<bool, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some("yes") => Ok(true),
-        Some("no") => Ok(false),
-        Some(other) => Err(format!("flag --{key} expects yes|no, got {other:?}")),
-    }
-}
-
 /// `knocktalk scan`.
 pub fn scan(opts: &Options) -> Result<(), String> {
     use knock_talk::analysis::{
@@ -940,17 +1026,21 @@ pub fn scan(opts: &Options) -> Result<(), String> {
     if let Some(hex) = opts.get("payload") {
         cfg.payload = Some(Payload::from_hex(hex).map_err(|e| format!("flag --payload: {e}"))?);
     }
-    cfg.udp = parse_switch(opts, "udp", false)?;
-    cfg.ipv6 = parse_switch(opts, "ipv6", false)?;
-    cfg.lan = parse_switch(opts, "lan", true)?;
-    cfg.workers = opts.get_u64("concurrency", cfg.workers as u64)?.max(1) as usize;
-    cfg.timeout_ms = opts.get_u64("timeout-ms", cfg.timeout_ms)?.max(1);
+    cfg.udp = opts.switch("udp", false)?;
+    cfg.ipv6 = opts.switch("ipv6", false)?;
+    cfg.lan = opts.switch("lan", true)?;
+    cfg.workers = opts.positive("concurrency")?.unwrap_or(cfg.workers);
+    if let Some(ms) = opts.positive("timeout-ms")? {
+        cfg.timeout_ms = ms as u64;
+    }
     let default_retries = u64::from(cfg.retry.max_attempts.saturating_sub(1));
     cfg.retry.max_attempts = opts.get_u64("retries", default_retries)? as u32 + 1;
     cfg.breaker.threshold =
         opts.get_u64("breaker-threshold", u64::from(cfg.breaker.threshold))? as u32;
     cfg.breaker.cooldown_ms = opts.get_u64("breaker-cooldown-ms", cfg.breaker.cooldown_ms)?;
-    cfg.deadline_ms = opts.get_u64("deadline-ms", cfg.deadline_ms)?.max(1);
+    if let Some(ms) = opts.positive("deadline-ms")? {
+        cfg.deadline_ms = ms as u64;
+    }
     if let Some(rate) = opts.get("fault-rate") {
         let rate: f64 = rate
             .parse()
@@ -970,8 +1060,8 @@ pub fn scan(opts: &Options) -> Result<(), String> {
     let mut reg = Registry::new();
     describe_defaults(&mut reg);
 
-    if parse_switch(opts, "agreement", false)? {
-        let sites = opts.get_u64("sites", 24)?.max(1) as usize;
+    if opts.switch("agreement", false)? {
+        let sites = opts.positive("sites")?.unwrap_or(24);
         let population = crossval_population(seed, sites);
         let cv = run_cross_validation(&env, &net, &population, &cfg);
         print!("{}", cv.scan.render());
@@ -1026,7 +1116,10 @@ fn get_fraction(opts: &Options, key: &str, default: f64) -> Result<f64, String> 
     }
 }
 
-fn snapshot_study_config(opts: &Options) -> Result<SnapshotStudyConfig, String> {
+fn snapshot_study_config(
+    opts: &Options,
+    workers: Option<usize>,
+) -> Result<SnapshotStudyConfig, String> {
     let seed = opts.get_u64("seed", 0x00C0_FFEE)?;
     let mut config = SnapshotStudyConfig::quick(seed);
     config.series.size = opts.get_u64("size", config.series.size as u64)? as usize;
@@ -1034,8 +1127,8 @@ fn snapshot_study_config(opts: &Options) -> Result<SnapshotStudyConfig, String> 
     config.series.churn = get_fraction(opts, "churn", config.series.churn)?;
     config.series.relist_fraction = get_fraction(opts, "relist", config.series.relist_fraction)?;
     config.content_churn = get_fraction(opts, "content-churn", config.content_churn)?;
-    config.workers = opts.get_u64("workers", config.workers as u64)?.max(1) as usize;
-    config.incremental = !parse_switch(opts, "full", false)?;
+    config.workers = workers.unwrap_or(config.workers);
+    config.incremental = !opts.switch("full", false)?;
     if config.series.size == 0 || config.series.snapshots == 0 {
         return Err("--size and --snapshots must be positive".to_string());
     }
@@ -1045,42 +1138,23 @@ fn snapshot_study_config(opts: &Options) -> Result<SnapshotStudyConfig, String> 
     Ok(config)
 }
 
-/// `knocktalk snapshot` — dispatch on the subcommand positional.
-pub fn snapshot(opts: &Options) -> Result<(), String> {
-    match opts.positional().first().map(String::as_str) {
-        Some("crawl") => snapshot_crawl(opts),
-        Some("diff") => snapshot_diff(opts),
-        Some("gc") => snapshot_gc(opts),
-        Some("fsck") => snapshot_fsck_cmd(opts),
-        Some(other) => Err(format!(
-            "unknown snapshot subcommand {other:?}; expected crawl | diff | gc | fsck"
-        )),
-        None => Err("snapshot needs a subcommand: crawl | diff | gc | fsck".to_string()),
-    }
-}
-
 /// `knocktalk snapshot crawl`.
 fn snapshot_crawl(opts: &Options) -> Result<(), String> {
-    let config = snapshot_study_config(opts)?;
-    let trace = trace_from_opts(opts);
-    let study = if parse_switch(opts, "resume", false)? {
+    let resume = opts.switch("resume", false)?;
+    let flags = RunFlags::parse(opts, !resume)?;
+    let config = snapshot_study_config(opts, flags.workers)?;
+    let study = if resume {
         let path = opts
             .get("journal")
             .ok_or("--resume yes needs --journal FILE")?;
-        SnapshotStudy::resume(std::path::Path::new(path), config, trace.as_ref())
+        SnapshotStudy::resume(std::path::Path::new(path), config, flags.trace.as_ref())
             .map_err(|e| e.to_string())?
     } else {
-        let journal = journal_from_opts(opts)?;
-        let study = SnapshotStudy::run_journaled_observed(config, journal.as_ref(), trace.as_ref())
-            .map_err(|e| e.to_string())?;
-        if let Some(j) = &journal {
-            if report_if_killed(j) {
-                write_trace_outputs(opts, trace.as_ref())?;
-                return Ok(());
-            }
-        }
-        study
+        SnapshotStudy::run(config, flags.options()).map_err(|e| e.to_string())?
     };
+    if flags.killed() {
+        return flags.finish();
+    }
     println!(
         "longitudinal series: {} snapshots x {} sites ({}% churn)",
         study.series.len(),
@@ -1111,7 +1185,7 @@ fn snapshot_crawl(opts: &Options) -> Result<(), String> {
             report.segments, report.chunks, report.manifest_entries
         );
     }
-    write_trace_outputs(opts, trace.as_ref())
+    flags.finish()
 }
 
 /// Open an on-disk snapshot store for `snapshot diff|gc`.
@@ -1136,8 +1210,9 @@ fn open_snapshot_store(opts: &Options) -> Result<(String, SnapshotStore), String
 
 /// `knocktalk snapshot diff`.
 fn snapshot_diff(opts: &Options) -> Result<(), String> {
+    let flags = RunFlags::parse(opts, true)?;
     let (_, store) = open_snapshot_store(opts)?;
-    let workers = opts.get_u64("workers", 4)?.max(1) as usize;
+    let workers = flags.workers.unwrap_or(4);
     let labels: Vec<String> = match opts.get("snapshots") {
         Some(list) => list.split(',').map(str::to_string).collect(),
         None => store.labels().iter().map(|l| l.to_string()).collect(),
@@ -1147,9 +1222,9 @@ fn snapshot_diff(opts: &Options) -> Result<(), String> {
             return Err(format!("snapshot {label:?} not in store"));
         }
     }
-    let trace = trace_from_opts(opts);
     let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-    let diff = knock_talk::analysis::diff_snapshots_traced(&store, &refs, workers, trace.as_ref());
+    let diff =
+        knock_talk::analysis::diff_snapshots_traced(&store, &refs, workers, flags.trace.as_ref());
     let rendered = diff.render();
     match opts.get("out") {
         Some(path) => {
@@ -1158,7 +1233,7 @@ fn snapshot_diff(opts: &Options) -> Result<(), String> {
         }
         None => print!("{rendered}"),
     }
-    write_trace_outputs(opts, trace.as_ref())
+    flags.finish()
 }
 
 /// `knocktalk snapshot gc`.

@@ -1,41 +1,9 @@
 //! `knocktalk` — the command-line interface.
 //!
-//! ```text
-//! knocktalk repro    [--scale quick|standard|paper] [--seed N] [--id T5]
-//!                    [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]
-//! knocktalk crawl    [--os windows|linux|mac] [--scale ...] [--seed N] [--save FILE]
-//!                    [--profile naive|headless-patched|stealth|human-replay]
-//!                    [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]
-//! knocktalk bias     [--seed N] [--workers N] [--out FILE] [--metrics-out FILE]
-//! knocktalk resume   <study.ktj> [--id T5]
-//! knocktalk fsck     <journal.ktj> [--repair yes]
-//! knocktalk analyze  <store.ktstore|journal.ktj>
-//! knocktalk classify <netlog.json> [--loaded-at MS]
-//! knocktalk entropy  [--machines N] [--seed N]
-//! knocktalk scan     [--os windows|linux|mac] [--seed N] [--ports P,P,...]
-//!                    [--sequence P,P,P] [--udp yes] [--ipv6 yes] [--concurrency N]
-//!                    [--timeout-ms N] [--retries N] [--breaker-threshold N]
-//!                    [--deadline-ms N] [--fault-rate R] [--agreement yes]
-//!                    [--metrics-out FILE]
-//! knocktalk serve    [--tenants N] [--campaigns N] [--sites N] [--seed N] [--workers N]
-//!                    [--queue-capacity N] [--policy block|shed] [--max-campaigns N]
-//!                    [--max-visits N] [--deadline-ms N] [--storm yes]
-//!                    [--check invariants,tables] [--metrics-out FILE]
-//! knocktalk snapshot crawl [--snapshots N] [--size N] [--churn R] [--content-churn R]
-//!                    [--seed N] [--workers N] [--full yes] [--store DIR] [--spill DIR]
-//!                    [--journal FILE] [--resume yes] [--kill-frames N] [--metrics-out FILE]
-//! knocktalk snapshot diff --store DIR [--mode mmap|resident] [--workers N] [--out FILE]
-//! knocktalk snapshot gc   --store DIR [--keep N]
-//! knocktalk snapshot fsck --store DIR
-//! knocktalk health   [--scale quick|standard|paper] [--seed N]
-//! knocktalk profile  [--scale quick|standard|paper] [--seed N] [--workers N]
-//! knocktalk help
-//! ```
-//!
-//! `repro`, `crawl`, and `resume` additionally accept `--workers N`,
-//! `--metrics-out FILE` (Prometheus text exposition of the campaign's
-//! metrics registry) and `--trace-out FILE` (JSONL span/event trace
-//! over the simulated clock).
+//! `knocktalk help` prints the usage of every subcommand. The flags
+//! each one accepts are declared once, in [`commands::COMMANDS`]; an
+//! unknown flag, a surplus argument, a zero count or a yes/no switch
+//! given any other value is an error, never silently ignored.
 //!
 //! `classify` is the downstream-facing subcommand: point it at a JSON
 //! capture from `chrome://net-export` (or from this library) and it
@@ -56,42 +24,45 @@ static GLOBAL: knock_talk::trace::CountingAllocator = knock_talk::trace::Countin
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = argv.split_first() else {
-        commands::help();
-        return ExitCode::SUCCESS;
-    };
-    let opts = match args::Options::parse(rest) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "repro" => commands::repro(&opts),
-        "crawl" => commands::crawl(&opts),
-        "bias" => commands::bias(&opts),
-        "resume" => commands::resume(&opts),
-        "fsck" => commands::fsck(&opts),
-        "analyze" => commands::analyze(&opts),
-        "classify" => commands::classify(&opts),
-        "entropy" => commands::entropy(&opts),
-        "scan" => commands::scan(&opts),
-        "serve" => commands::serve(&opts),
-        "snapshot" => commands::snapshot(&opts),
-        "health" => commands::health(&opts),
-        "profile" => commands::profile(&opts),
-        "help" | "--help" | "-h" => {
-            commands::help();
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}; try `knocktalk help`")),
-    };
-    match result {
+    match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Look the subcommand up, parse its arguments against the flags it
+/// declares, and run it.
+fn run(argv: &[String]) -> Result<(), String> {
+    let Some((command, mut rest)) = argv.split_first() else {
+        commands::help();
+        return Ok(());
+    };
+    let mut name = match command.as_str() {
+        "--help" | "-h" => "help".to_string(),
+        _ => command.clone(),
+    };
+    if command == "snapshot" {
+        let (sub, tail) = rest
+            .split_first()
+            .ok_or("snapshot needs a subcommand: crawl | diff | gc | fsck")?;
+        name = format!("snapshot {sub}");
+        rest = tail;
+    }
+    let spec = commands::COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| match command.as_str() {
+            "snapshot" => format!(
+                "unknown snapshot subcommand {:?}; expected crawl | diff | gc | fsck",
+                &name["snapshot ".len()..]
+            ),
+            _ => format!("unknown command {command:?}; try `knocktalk help`"),
+        })?;
+    let positional = spec.args.split_whitespace().count();
+    let opts = args::Options::parse(rest, spec.flags, positional)
+        .map_err(|e| format!("{e} (`knocktalk {}`; try `knocktalk help`)", spec.name))?;
+    (spec.run)(&opts)
 }

@@ -36,20 +36,17 @@ use std::path::Path;
 
 use kt_analysis::diff::{diff_snapshots_traced, SnapshotDiff};
 use kt_crawler::{
-    run_crawl_resumed_observed, set_stats_gauges, split_campaigns, stats_sink, CrawlConfig,
-    CrawlJob, CrawlStats, IncrementalPlan, ResumePlan,
+    run_checkpointed_campaign, split_campaigns, CampaignReplay, CrawlConfig, CrawlJob, CrawlStats,
+    IncrementalPlan, RunOptions,
 };
 use kt_netbase::{DomainName, Os, OsSet, Scheme};
 use kt_store::snapshot::SnapshotStore;
 use kt_store::{
-    replay, CheckpointFrame, CrawlId, JournalError, JournalMeta, JournalWriter, SpillConfig,
-    TelemetryStore,
+    replay, CrawlId, JournalError, JournalMeta, JournalWriter, SpillConfig, TelemetryStore,
 };
 use kt_trace::{names, Labels, Trace};
 use kt_webgen::{Availability, Behavior, DevError, NativeApp, PlantedBehavior, WebSite};
 use kt_weblists::{SeriesConfig, SnapshotSeries};
-
-use crate::study::record_journal_stats;
 
 /// The OSes each snapshot is crawled on. Two, like the paper's 2021
 /// campaign — Windows carries the fraud/bot-detection signal, Linux
@@ -258,31 +255,15 @@ pub struct SnapshotStudy {
 }
 
 impl SnapshotStudy {
-    /// Run the series.
-    pub fn run(config: SnapshotStudyConfig) -> io::Result<SnapshotStudy> {
-        SnapshotStudy::run_journaled_observed(config, None, None)
-    }
-
-    /// [`SnapshotStudy::run`] reporting `snapshot_*` metrics and crawl
-    /// counters into a [`Trace`].
-    pub fn run_observed(
-        config: SnapshotStudyConfig,
-        trace: Option<&Trace>,
-    ) -> io::Result<SnapshotStudy> {
-        SnapshotStudy::run_journaled_observed(config, None, trace)
-    }
-
-    /// Run with an optional write-ahead journal: one campaign per
-    /// (snapshot, OS), checkpointed at campaign boundaries. If the
-    /// journal's kill switch fires, remaining campaigns are skipped
-    /// and the returned study describes a dead process's partial world
-    /// — [`SnapshotStudy::resume`] is the continuation.
-    pub fn run_journaled_observed(
-        config: SnapshotStudyConfig,
-        journal: Option<&JournalWriter>,
-        trace: Option<&Trace>,
-    ) -> io::Result<SnapshotStudy> {
-        if let Some(j) = journal {
+    /// Run the series with an optional write-ahead journal and trace:
+    /// one campaign per (snapshot, OS), checkpointed at campaign
+    /// boundaries. If the journal's kill switch fires, remaining
+    /// campaigns are skipped and the returned study describes a dead
+    /// process's partial world — [`SnapshotStudy::resume`] is the
+    /// continuation. The trace receives crawl counters and, for a run
+    /// that finished, the `snapshot_*` metrics.
+    pub fn run(config: SnapshotStudyConfig, options: RunOptions<'_>) -> io::Result<SnapshotStudy> {
+        if let Some(j) = options.journal {
             j.append_meta(&JournalMeta {
                 seed: config.series.seed,
                 top_size: config.series.size as u64,
@@ -294,14 +275,7 @@ impl SnapshotStudy {
             Some(spill) => TelemetryStore::with_spill(spill.clone())?,
             None => TelemetryStore::new(),
         };
-        let study =
-            SnapshotStudy::run_campaigns(config, telemetry, journal, &BTreeMap::new(), trace);
-        if let Some(j) = journal {
-            j.sync();
-            if let Some(t) = trace {
-                record_journal_stats(t, &j.stats());
-            }
-        }
+        let study = SnapshotStudy::drive(config, telemetry, &BTreeMap::new(), options);
         Ok(study)
     }
 
@@ -339,21 +313,21 @@ impl SnapshotStudy {
         }
         let journal = JournalWriter::open_append(path)?;
         let replayed = split_campaigns(&report.visits, &report.checkpoints);
-        let study =
-            SnapshotStudy::run_campaigns(config, report.store, Some(&journal), &replayed, trace);
-        journal.sync();
-        if let Some(t) = trace {
-            record_journal_stats(t, &journal.stats());
-        }
+        let options = RunOptions {
+            journal: Some(&journal),
+            trace,
+        };
+        let study = SnapshotStudy::drive(config, report.store, &replayed, options);
         Ok(study)
     }
 
-    fn run_campaigns(
+    /// The one driver under [`SnapshotStudy::run`] and
+    /// [`SnapshotStudy::resume`].
+    fn drive(
         config: SnapshotStudyConfig,
         telemetry: TelemetryStore,
-        journal: Option<&JournalWriter>,
-        replayed: &BTreeMap<(String, String), kt_crawler::CampaignReplay>,
-        trace: Option<&Trace>,
+        replayed: &BTreeMap<(String, String), CampaignReplay>,
+        options: RunOptions<'_>,
     ) -> SnapshotStudy {
         let series = SnapshotSeries::generate(&config.series);
         let seed = config.series.seed;
@@ -394,48 +368,13 @@ impl SnapshotStudy {
                 .collect();
             let crawl = CrawlId(label.clone());
             for os in SNAPSHOT_OSES {
-                if journal.is_some_and(|j| j.killed()) {
-                    killed = true;
-                    break 'snapshots;
-                }
-                let key = (label.clone(), os.name().to_string());
-                let campaign = replayed.get(&key);
-                if let Some(done) = campaign.and_then(|c| c.restored_stats()) {
-                    if let Some(t) = trace {
-                        t.merge_sink(&stats_sink(&crawl, os, &done));
-                        set_stats_gauges(t, &crawl, os, &done);
-                    }
-                    stats.insert((label.clone(), os), done);
-                    continue;
-                }
-                let resume_plan = campaign
-                    .map(|c| c.plan(&jobs))
-                    .unwrap_or_else(|| ResumePlan::fresh(jobs.len()));
                 let mut cfg = CrawlConfig::paper(crawl.clone(), os, seed);
                 cfg.workers = config.workers;
-                let s = run_crawl_resumed_observed(
-                    &jobs,
-                    &resume_plan,
-                    &cfg,
-                    &telemetry,
-                    journal,
-                    trace,
-                );
-                if let Some(j) = journal {
-                    if j.killed() {
-                        killed = true;
-                        break 'snapshots;
-                    }
-                    j.append_checkpoint(&CheckpointFrame {
-                        crawl: label.clone(),
-                        os: os.name().to_string(),
-                        completed: jobs
-                            .iter()
-                            .map(|job| job.site.domain.as_str().to_string())
-                            .collect(),
-                        stats: s.to_bytes(),
-                    });
-                }
+                let Some(s) = run_checkpointed_campaign(&jobs, replayed, &cfg, &telemetry, options)
+                else {
+                    killed = true;
+                    break 'snapshots;
+                };
                 stats.insert((label.clone(), os), s);
             }
 
@@ -465,6 +404,7 @@ impl SnapshotStudy {
             }
         }
 
+        options.sync_journal();
         let study = SnapshotStudy {
             config,
             series,
@@ -474,7 +414,7 @@ impl SnapshotStudy {
             work,
         };
         if !killed {
-            if let Some(t) = trace {
+            if let Some(t) = options.trace {
                 study.record_metrics(t);
             }
         }
@@ -565,7 +505,8 @@ mod tests {
 
     #[test]
     fn incremental_run_does_a_fraction_of_full_work() {
-        let study = SnapshotStudy::run(SnapshotStudyConfig::quick(7)).unwrap();
+        let study =
+            SnapshotStudy::run(SnapshotStudyConfig::quick(7), RunOptions::default()).unwrap();
         assert_eq!(study.snapshots.snapshot_count(), 4);
         let fraction = study.work.incremental_fraction();
         // 4 snapshots at 25% churn: (1 + 3·~0.3)/4 ≈ 0.48.
@@ -590,10 +531,11 @@ mod tests {
 
     #[test]
     fn incremental_and_full_runs_diff_identically() {
-        let incremental = SnapshotStudy::run(SnapshotStudyConfig::quick(13)).unwrap();
+        let incremental =
+            SnapshotStudy::run(SnapshotStudyConfig::quick(13), RunOptions::default()).unwrap();
         let mut full_config = SnapshotStudyConfig::quick(13);
         full_config.incremental = false;
-        let full = SnapshotStudy::run(full_config).unwrap();
+        let full = SnapshotStudy::run(full_config, RunOptions::default()).unwrap();
         assert!(full.work.linked_rows == 0 && full.work.incremental_fraction() == 1.0);
         assert!(incremental.work.executed_visits < full.work.executed_visits);
         // The content-addressed store converges to the same chunks —
@@ -616,7 +558,8 @@ mod tests {
 
     #[test]
     fn diff_tables_move_with_the_series() {
-        let study = SnapshotStudy::run(SnapshotStudyConfig::quick(7)).unwrap();
+        let study =
+            SnapshotStudy::run(SnapshotStudyConfig::quick(7), RunOptions::default()).unwrap();
         let diff = study.diff(4, None);
         assert_eq!(diff.adoption.len(), 4);
         assert_eq!(diff.churn.len(), 3);
@@ -635,7 +578,7 @@ mod tests {
             let mut config = SnapshotStudyConfig::quick(7);
             config.workers = workers;
             let trace = Trace::new();
-            let study = SnapshotStudy::run_observed(config, Some(&trace)).unwrap();
+            let study = SnapshotStudy::run(config, RunOptions::traced(&trace)).unwrap();
             let _ = study.diff(workers, Some(&trace));
             trace.export_prometheus()
         };
@@ -661,7 +604,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&spill_dir);
         let mut config = SnapshotStudyConfig::quick(7);
         config.spill = Some(SpillConfig::mmap(&spill_dir));
-        let baseline = SnapshotStudy::run(SnapshotStudyConfig::quick(7)).unwrap();
+        let baseline =
+            SnapshotStudy::run(SnapshotStudyConfig::quick(7), RunOptions::default()).unwrap();
         let baseline_render = baseline.diff(2, None).render();
         let baseline_trace = Trace::new();
         baseline.record_metrics(&baseline_trace);
@@ -675,8 +619,7 @@ mod tests {
             at_frame: kill_at,
             mode: KillMode::MidFrame,
         }));
-        let killed =
-            SnapshotStudy::run_journaled_observed(config.clone(), Some(&journal), None).unwrap();
+        let killed = SnapshotStudy::run(config.clone(), RunOptions::journaled(&journal)).unwrap();
         assert!(journal.killed(), "run must die at frame {kill_at}");
         assert!(
             killed.snapshots.snapshot_count() < 4,
@@ -711,10 +654,9 @@ mod tests {
             at_frame: 40,
             mode: KillMode::MidFrame,
         }));
-        let _ = SnapshotStudy::run_journaled_observed(
+        let _ = SnapshotStudy::run(
             SnapshotStudyConfig::quick(7),
-            Some(&journal),
-            None,
+            RunOptions::journaled(&journal),
         )
         .unwrap();
         let err = SnapshotStudy::resume(&path, SnapshotStudyConfig::quick(8), None);
@@ -724,7 +666,8 @@ mod tests {
 
     #[test]
     fn saved_store_reloads_and_diffs_identically() {
-        let study = SnapshotStudy::run(SnapshotStudyConfig::quick(7)).unwrap();
+        let study =
+            SnapshotStudy::run(SnapshotStudyConfig::quick(7), RunOptions::default()).unwrap();
         let dir = tmp("store");
         let _ = std::fs::remove_dir_all(&dir);
         study.snapshots.save(&dir).unwrap();

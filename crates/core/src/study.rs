@@ -7,15 +7,12 @@ use std::path::Path;
 use kt_analysis::detect::SiteLocalActivity;
 use kt_analysis::par::{analyze_crawl_traced, CrawlAnalysis};
 use kt_crawler::{
-    run_crawl_resumed_observed, set_stats_gauges, split_campaigns, stats_sink, CrawlConfig,
-    CrawlJob, CrawlStats, ResumePlan,
+    run_checkpointed_campaign, split_campaigns, CampaignReplay, CrawlConfig, CrawlJob, CrawlStats,
+    RunOptions,
 };
 use kt_netbase::Os;
-use kt_store::{
-    replay, CheckpointFrame, CrawlId, JournalError, JournalMeta, JournalStats, JournalWriter,
-    TelemetryStore,
-};
-use kt_trace::{names, Labels, Trace};
+use kt_store::{replay, CrawlId, JournalError, JournalMeta, JournalWriter, TelemetryStore};
+use kt_trace::{names, Labels, StageProfiler, Trace};
 use kt_webgen::{PopulationConfig, WebPopulation};
 
 /// Study configuration.
@@ -92,7 +89,7 @@ pub struct Study {
 }
 
 /// The job list of one campaign over a generated population.
-fn campaign_jobs<'a>(population: &'a WebPopulation, crawl: &CrawlId) -> Vec<CrawlJob<'a>> {
+pub fn campaign_jobs<'a>(population: &'a WebPopulation, crawl: &CrawlId) -> Vec<CrawlJob<'a>> {
     match crawl.as_str() {
         "top2020" => population
             .sites2020
@@ -122,94 +119,6 @@ fn campaign_jobs<'a>(population: &'a WebPopulation, crawl: &CrawlId) -> Vec<Craw
     }
 }
 
-/// Record a journal writer's durability counters into the metrics
-/// registry. Journal counters are *writer-owned*: a resumed study
-/// reports only the frames its own process appended, so — unlike the
-/// crawl counters — these legitimately differ between a baseline run
-/// and a kill/resume cycle.
-pub fn record_journal_stats(trace: &Trace, stats: &JournalStats) {
-    let none = Labels::new(&[]);
-    trace.inc_counter(names::JOURNAL_FRAMES_TOTAL, none.clone(), stats.frames);
-    trace.inc_counter(names::JOURNAL_VISITS_TOTAL, none.clone(), stats.visits);
-    trace.inc_counter(
-        names::JOURNAL_CHECKPOINTS_TOTAL,
-        none.clone(),
-        stats.checkpoints,
-    );
-    trace.inc_counter(names::JOURNAL_BYTES_TOTAL, none.clone(), stats.bytes);
-    trace.inc_counter(names::JOURNAL_FSYNCS_TOTAL, none.clone(), stats.fsyncs);
-    trace.inc_counter(
-        names::JOURNAL_GROUP_COMMITS_TOTAL,
-        none.clone(),
-        stats.group_commits,
-    );
-    trace.inc_counter(
-        names::JOURNAL_GROUPED_FRAMES_TOTAL,
-        none.clone(),
-        stats.grouped_frames,
-    );
-    trace.set_gauge(
-        names::JOURNAL_FRAMES_PER_FSYNC,
-        none,
-        stats.frames_per_fsync(),
-    );
-}
-
-/// Run a full study under a [`StageProfiler`]: population generation,
-/// each (campaign, OS) crawl, and each campaign analysis become
-/// separate profiled stages with element counts (sites crawled /
-/// records analysed) and, for crawls, the simulated makespan alongside
-/// real wall time. Profiling changes nothing about the study itself —
-/// the returned `Study` is the same one [`Study::run_observed`]
-/// produces.
-pub fn profile_study(
-    config: StudyConfig,
-    profiler: &mut kt_trace::StageProfiler,
-    trace: Option<&Trace>,
-) -> Study {
-    let population = profiler.run("population", || WebPopulation::generate(config.population));
-    profiler.annotate_elements(
-        (population.sites2020.len() + population.sites2021.len() + population.malicious_sites.len())
-            as u64,
-    );
-    let store = TelemetryStore::new();
-    let mut stats = BTreeMap::new();
-    let seed = config.population.seed;
-    for (crawl, oses) in campaigns() {
-        let jobs = campaign_jobs(&population, &crawl);
-        for os in oses {
-            let mut cfg = CrawlConfig::paper(crawl.clone(), os, seed);
-            cfg.workers = config.workers;
-            let plan = ResumePlan::fresh(jobs.len());
-            let name = format!("crawl:{}/{}", crawl.as_str(), os.name());
-            let s = profiler.run(&name, || {
-                run_crawl_resumed_observed(&jobs, &plan, &cfg, &store, None, trace)
-            });
-            profiler.annotate_elements(s.attempted as u64);
-            profiler.annotate_sim_ms(s.makespan_ms);
-            stats.insert((crawl.as_str().to_string(), os), s);
-        }
-    }
-    let analyses = campaigns()
-        .into_iter()
-        .map(|(crawl, _)| {
-            let name = format!("analyze:{}", crawl.as_str());
-            let analysis = profiler.run(&name, || {
-                analyze_crawl_traced(&store, &crawl, config.workers, trace)
-            });
-            profiler.annotate_elements(analysis.visits as u64);
-            (crawl.as_str().to_string(), analysis)
-        })
-        .collect();
-    Study {
-        config,
-        population,
-        store,
-        stats,
-        analyses,
-    }
-}
-
 /// Record a snapshot save's [`kt_store::SaveReport`] as gauges.
 pub fn record_save_report(trace: &Trace, report: &kt_store::SaveReport) {
     let none = Labels::new(&[]);
@@ -221,18 +130,177 @@ pub fn record_save_report(trace: &Trace, report: &kt_store::SaveReport) {
 impl Study {
     /// Generate the population and run every campaign.
     pub fn run(config: StudyConfig) -> Study {
-        Study::run_journaled(config, None)
+        Study::run_with(config, RunOptions::default())
     }
+
+    /// [`Study::run_with`] with only a journal.
+    pub fn run_journaled(config: StudyConfig, journal: Option<&JournalWriter>) -> Study {
+        let options = journal.map_or_else(RunOptions::default, RunOptions::journaled);
+        Study::run_with(config, options)
+    }
+
+    /// [`Study::run`] with an optional write-ahead journal and trace.
+    ///
+    /// The journal frames the campaign parameters up front, every
+    /// visit verdict as it lands, and a checkpoint (completed domains
+    /// and the exact merged stats) after each `(crawl, OS)` campaign. If
+    /// its kill switch fires mid-study the remaining campaigns are
+    /// skipped — the returned `Study` then describes a dead process's
+    /// partial world and exists only so test harnesses can drop it;
+    /// [`Study::resume`] is the real continuation.
+    ///
+    /// The trace receives metrics, spans and events, plus the run's
+    /// stage table: wall time and allocations of population
+    /// generation, each `(crawl, OS)` crawl (with its simulated
+    /// makespan) and each campaign analysis.
+    pub fn run_with(config: StudyConfig, options: RunOptions<'_>) -> Study {
+        if let Some(j) = options.journal {
+            j.append_meta(&JournalMeta {
+                seed: config.population.seed,
+                top_size: config.population.top_size as u64,
+                malicious_size: config.population.malicious_size as u64,
+                workers: config.workers as u64,
+            });
+        }
+        Study::drive(config, TelemetryStore::new(), &BTreeMap::new(), options)
+    }
+
+    /// Resume a crashed [`Study::run_with`] from its journal.
+    ///
+    /// Replays the surviving frames, regenerates the identical
+    /// deterministic population from the journaled parameters,
+    /// restores checkpointed campaigns verbatim, re-runs only the
+    /// missing visits of partial ones (appending to the same journal),
+    /// and recomputes the analyses. For outage-free configurations the
+    /// result — stats, store bytes, every table — is identical to the
+    /// run that never crashed, and so are the trace's crawl and
+    /// analysis counters; journal counters are writer-owned and count
+    /// only this process's appends.
+    pub fn resume(path: &Path, trace: Option<&Trace>) -> Result<Study, JournalError> {
+        let report = replay(path)?;
+        let meta = report.meta.ok_or_else(|| {
+            JournalError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "journal has no campaign-parameters frame (not a study journal)",
+            ))
+        })?;
+        let config = StudyConfig {
+            population: PopulationConfig {
+                seed: meta.seed,
+                top_size: meta.top_size as usize,
+                malicious_size: meta.malicious_size as usize,
+                sensors: false,
+            },
+            workers: (meta.workers as usize).max(1),
+        };
+        let journal = JournalWriter::open_append(path)?;
+        let replayed = split_campaigns(&report.visits, &report.checkpoints);
+        let options = RunOptions {
+            journal: Some(&journal),
+            trace,
+        };
+        Ok(Study::drive(config, report.store, &replayed, options))
+    }
+
+    /// The one driver under [`Study::run_with`] and [`Study::resume`]:
+    /// generate the population, run (or restore) every campaign,
+    /// analyse, and time each stage.
+    fn drive(
+        config: StudyConfig,
+        store: TelemetryStore,
+        replayed: &BTreeMap<(String, String), CampaignReplay>,
+        options: RunOptions<'_>,
+    ) -> Study {
+        let mut profiler = StageProfiler::new();
+        let population = profiler.run("population", || WebPopulation::generate(config.population));
+        profiler.annotate_elements(
+            (population.sites2020.len()
+                + population.sites2021.len()
+                + population.malicious_sites.len()) as u64,
+        );
+        let mut stats = BTreeMap::new();
+        'campaigns: for (crawl, oses) in campaigns() {
+            let jobs = campaign_jobs(&population, &crawl);
+            for os in oses {
+                let mut cfg = CrawlConfig::paper(crawl.clone(), os, config.population.seed);
+                cfg.workers = config.workers;
+                let stage = format!("crawl:{}/{}", crawl.as_str(), os.name());
+                let Some(s) = profiler.run(&stage, || {
+                    run_checkpointed_campaign(&jobs, replayed, &cfg, &store, options)
+                }) else {
+                    break 'campaigns;
+                };
+                profiler.annotate_elements(s.attempted as u64);
+                profiler.annotate_sim_ms(s.makespan_ms);
+                stats.insert((crawl.as_str().to_string(), os), s);
+            }
+        }
+        options.sync_journal();
+        let analyses = campaigns()
+            .into_iter()
+            .map(|(crawl, _)| {
+                let stage = format!("analyze:{}", crawl.as_str());
+                let analysis = profiler.run(&stage, || {
+                    analyze_crawl_traced(&store, &crawl, config.workers, options.trace)
+                });
+                profiler.annotate_elements(analysis.visits as u64);
+                (crawl.as_str().to_string(), analysis)
+            })
+            .collect();
+        if let Some(trace) = options.trace {
+            trace.absorb_stages(profiler);
+        }
+        Study {
+            config,
+            population,
+            store,
+            stats,
+            analyses,
+        }
+    }
+
+    /// The precomputed analysis for one campaign.
+    pub fn analysis(&self, crawl: &CrawlId) -> &CrawlAnalysis {
+        self.analyses
+            .get(crawl.as_str())
+            .expect("campaign crawl analysed at Study::run")
+    }
+
+    /// Per-site local activity for one crawl (all OSes merged).
+    pub fn activities(&self, crawl: &CrawlId) -> &[SiteLocalActivity] {
+        &self.analysis(crawl).sites
+    }
+
+    /// Crawl stats for one (crawl, OS).
+    pub fn stats_for(&self, crawl: &CrawlId, os: Os) -> Option<&CrawlStats> {
+        self.stats.get(&(crawl.as_str().to_string(), os))
+    }
+
+    /// Run one named experiment (`"T1"`–`"T11"`, `"F2"`–`"F9"`).
+    pub fn experiment(&self, id: &str) -> Option<String> {
+        crate::experiments::run(self, id)
+    }
+
+    /// Every experiment, in paper order: `(id, rendered text)`.
+    pub fn all_experiments(&self) -> Vec<(&'static str, String)> {
+        crate::experiments::ALL_IDS
+            .iter()
+            .map(|id| (*id, crate::experiments::run(self, id).expect("known id")))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// [`Study::run`] through the resident campaign service: all eight
     /// `(crawl, OS)` campaigns are submitted to one
     /// [`kt_service::CampaignService`] as a single unbounded tenant
     /// and multiplexed over the service scheduler, with tables built
     /// by the online incremental aggregator instead of the end-of-run
-    /// batch analyzer. Produces a `Study` whose stats, store, and
-    /// analyses are identical to [`Study::run`] — the equivalence the
-    /// service tests pin.
-    pub fn run_service(config: StudyConfig) -> Study {
+    /// batch analyzer.
+    fn run_service(config: StudyConfig) -> Study {
         use kt_service::{CampaignService, CampaignSpec, OverflowPolicy, ServiceJob, TenantQuota};
 
         let population = WebPopulation::generate(config.population);
@@ -294,234 +362,6 @@ impl Study {
         }
     }
 
-    /// [`Study::run`] reporting metrics, spans, and events into a
-    /// [`Trace`].
-    pub fn run_observed(config: StudyConfig, trace: Option<&Trace>) -> Study {
-        Study::run_journaled_observed(config, None, trace)
-    }
-
-    /// [`Study::run`] with an optional write-ahead journal: campaign
-    /// parameters are framed up front, every visit verdict as it
-    /// lands, and a checkpoint (completed domains + the exact merged
-    /// stats) after each `(crawl, OS)` campaign. If the journal's kill
-    /// switch fires mid-study the remaining campaigns are skipped —
-    /// the returned `Study` then describes a dead process's partial
-    /// world and exists only so test harnesses can drop it;
-    /// [`Study::resume`] is the real continuation.
-    pub fn run_journaled(config: StudyConfig, journal: Option<&JournalWriter>) -> Study {
-        Study::run_journaled_observed(config, journal, None)
-    }
-
-    /// [`Study::run_journaled`] reporting into a [`Trace`].
-    pub fn run_journaled_observed(
-        config: StudyConfig,
-        journal: Option<&JournalWriter>,
-        trace: Option<&Trace>,
-    ) -> Study {
-        if let Some(j) = journal {
-            j.append_meta(&JournalMeta {
-                seed: config.population.seed,
-                top_size: config.population.top_size as u64,
-                malicious_size: config.population.malicious_size as u64,
-                workers: config.workers as u64,
-            });
-        }
-        let population = WebPopulation::generate(config.population);
-        let store = TelemetryStore::new();
-        let stats = Study::run_campaigns(
-            &config,
-            &population,
-            &store,
-            journal,
-            &BTreeMap::new(),
-            trace,
-        );
-        if let Some(j) = journal {
-            j.sync();
-            if let Some(t) = trace {
-                record_journal_stats(t, &j.stats());
-            }
-        }
-        Study::finish(config, population, store, stats, trace)
-    }
-
-    /// Resume a crashed [`Study::run_journaled`] from its journal.
-    ///
-    /// Replays the surviving frames, regenerates the identical
-    /// deterministic population from the journaled parameters,
-    /// restores checkpointed campaigns verbatim, re-runs only the
-    /// missing visits of partial ones (appending to the same journal),
-    /// and recomputes the analyses. For outage-free configurations the
-    /// result — stats, store bytes, every table — is identical to the
-    /// run that never crashed.
-    pub fn resume(path: &Path) -> Result<Study, JournalError> {
-        Study::resume_observed(path, None)
-    }
-
-    /// [`Study::resume`] reporting into a [`Trace`]. Counters for
-    /// checkpoint-restored campaigns are seeded from their restored
-    /// stats, so `visits_total` and friends match the run that never
-    /// crashed; journal counters are writer-owned and count only this
-    /// process's appends.
-    pub fn resume_observed(path: &Path, trace: Option<&Trace>) -> Result<Study, JournalError> {
-        let report = replay(path)?;
-        let meta = report.meta.ok_or_else(|| {
-            JournalError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "journal has no campaign-parameters frame (not a study journal)",
-            ))
-        })?;
-        let config = StudyConfig {
-            population: PopulationConfig {
-                seed: meta.seed,
-                top_size: meta.top_size as usize,
-                malicious_size: meta.malicious_size as usize,
-                sensors: false,
-            },
-            workers: (meta.workers as usize).max(1),
-        };
-        let population = WebPopulation::generate(config.population);
-        let journal = JournalWriter::open_append(path)?;
-        let replayed = split_campaigns(&report.visits, &report.checkpoints);
-        // Frame-rebuilt resume plans per campaign; checkpointed
-        // campaigns restore their exact stats instead.
-        let store = report.store;
-        let stats = Study::run_campaigns(
-            &config,
-            &population,
-            &store,
-            Some(&journal),
-            &replayed,
-            trace,
-        );
-        journal.sync();
-        if let Some(t) = trace {
-            record_journal_stats(t, &journal.stats());
-        }
-        Ok(Study::finish(config, population, store, stats, trace))
-    }
-
-    /// Run (or resume) every campaign, checkpointing completions.
-    fn run_campaigns(
-        config: &StudyConfig,
-        population: &WebPopulation,
-        store: &TelemetryStore,
-        journal: Option<&JournalWriter>,
-        replayed: &BTreeMap<(String, String), kt_crawler::CampaignReplay>,
-        trace: Option<&Trace>,
-    ) -> BTreeMap<(String, Os), CrawlStats> {
-        let mut stats = BTreeMap::new();
-        let seed = config.population.seed;
-        'campaigns: for (crawl, oses) in campaigns() {
-            let jobs = campaign_jobs(population, &crawl);
-            for os in oses {
-                if journal.is_some_and(|j| j.killed()) {
-                    break 'campaigns;
-                }
-                let key = (crawl.as_str().to_string(), os.name().to_string());
-                let campaign = replayed.get(&key);
-                if let Some(done) = campaign.and_then(|c| c.restored_stats()) {
-                    // The checkpoint *is* the campaign's merged tally,
-                    // makespan and connectivity included; its records
-                    // arrived with the replayed store. A checkpoint
-                    // that outlived a corrupted visit frame is not
-                    // restorable — those campaigns fall through to the
-                    // frame-level plan and re-run the lost sites.
-                    if let Some(t) = trace {
-                        // Seed counters from the restored tally, the
-                        // same derivation the crawl itself would have
-                        // reported — resume-invariance by construction.
-                        t.merge_sink(&stats_sink(&crawl, os, &done));
-                        set_stats_gauges(t, &crawl, os, &done);
-                    }
-                    stats.insert((crawl.as_str().to_string(), os), done);
-                    continue;
-                }
-                let plan = campaign
-                    .map(|c| c.plan(&jobs))
-                    .unwrap_or_else(|| ResumePlan::fresh(jobs.len()));
-                let mut cfg = CrawlConfig::paper(crawl.clone(), os, seed);
-                cfg.workers = config.workers;
-                let s = run_crawl_resumed_observed(&jobs, &plan, &cfg, store, journal, trace);
-                if let Some(j) = journal {
-                    if j.killed() {
-                        break 'campaigns;
-                    }
-                    j.append_checkpoint(&CheckpointFrame {
-                        crawl: crawl.as_str().to_string(),
-                        os: os.name().to_string(),
-                        completed: jobs
-                            .iter()
-                            .map(|job| job.site.domain.as_str().to_string())
-                            .collect(),
-                        stats: s.to_bytes(),
-                    });
-                }
-                stats.insert((crawl.as_str().to_string(), os), s);
-            }
-        }
-        stats
-    }
-
-    /// Analyse the store and assemble the `Study`.
-    fn finish(
-        config: StudyConfig,
-        population: WebPopulation,
-        store: TelemetryStore,
-        stats: BTreeMap<(String, Os), CrawlStats>,
-        trace: Option<&Trace>,
-    ) -> Study {
-        let analyses = campaigns()
-            .into_iter()
-            .map(|(crawl, _)| {
-                let analysis = analyze_crawl_traced(&store, &crawl, config.workers, trace);
-                (crawl.as_str().to_string(), analysis)
-            })
-            .collect();
-        Study {
-            config,
-            population,
-            store,
-            stats,
-            analyses,
-        }
-    }
-
-    /// The precomputed analysis for one campaign.
-    pub fn analysis(&self, crawl: &CrawlId) -> &CrawlAnalysis {
-        self.analyses
-            .get(crawl.as_str())
-            .expect("campaign crawl analysed at Study::run")
-    }
-
-    /// Per-site local activity for one crawl (all OSes merged).
-    pub fn activities(&self, crawl: &CrawlId) -> &[SiteLocalActivity] {
-        &self.analysis(crawl).sites
-    }
-
-    /// Crawl stats for one (crawl, OS).
-    pub fn stats_for(&self, crawl: &CrawlId, os: Os) -> Option<&CrawlStats> {
-        self.stats.get(&(crawl.as_str().to_string(), os))
-    }
-
-    /// Run one named experiment (`"T1"`–`"T11"`, `"F2"`–`"F9"`).
-    pub fn experiment(&self, id: &str) -> Option<String> {
-        crate::experiments::run(self, id)
-    }
-
-    /// Every experiment, in paper order: `(id, rendered text)`.
-    pub fn all_experiments(&self) -> Vec<(&'static str, String)> {
-        crate::experiments::ALL_IDS
-            .iter()
-            .map(|id| (*id, crate::experiments::run(self, id).expect("known id")))
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
     #[test]
     fn quick_study_runs_every_campaign() {
         let study = Study::run(StudyConfig::quick(7));
@@ -562,7 +402,7 @@ mod tests {
         let _ = Study::run_journaled(config, Some(&journal));
         assert!(journal.killed(), "the study must die at frame {kill_at}");
 
-        let resumed = Study::resume(&path).unwrap();
+        let resumed = Study::resume(&path, None).unwrap();
         assert_eq!(resumed.stats, baseline.stats, "per-campaign stats match");
         for (crawl, _) in campaigns() {
             assert_eq!(
@@ -582,27 +422,56 @@ mod tests {
 
         // Resuming a *finished* journal is a pure checkpoint restore:
         // nothing re-runs and the results still match.
-        let restored = Study::resume(&path).unwrap();
+        let restored = Study::resume(&path, None).unwrap();
         assert_eq!(restored.stats, baseline.stats);
         assert_eq!(restored.store.len(), baseline.store.len());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn profiled_study_matches_plain_run() {
+    fn run_with_trace_and_journal_matches_plain_run() {
         let config = StudyConfig::quick(7);
         let baseline = Study::run(config);
-        let mut profiler = kt_trace::StageProfiler::new();
-        let profiled = profile_study(config, &mut profiler, None);
-        assert_eq!(profiled.stats, baseline.stats, "profiling changes nothing");
+        let path =
+            std::env::temp_dir().join(format!("kt-study-run-with-{}.ktj", std::process::id()));
+        let journal = JournalWriter::create(&path).unwrap();
+        let trace = Trace::new();
+        let study = Study::run_with(
+            config,
+            RunOptions {
+                journal: Some(&journal),
+                trace: Some(&trace),
+            },
+        );
+        assert_eq!(study.stats, baseline.stats, "options change nothing");
+        assert_eq!(study.store.byte_size(), baseline.store.byte_size());
+        for (crawl, _) in campaigns() {
+            assert_eq!(
+                study.store.crawl_records(&crawl),
+                baseline.store.crawl_records(&crawl),
+                "store records for {} match byte for byte",
+                crawl.as_str()
+            );
+        }
+
         // population + 8 campaign/OS crawls + 3 analyses.
-        assert_eq!(profiler.stages().len(), 12);
-        let names: Vec<&str> = profiler.stages().iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names[0], "population");
-        assert!(names.contains(&"crawl:top2020/Windows"));
-        assert!(names.contains(&"analyze:malicious"));
-        let table = profiler.render_table();
-        assert!(table.lines().last().unwrap().starts_with("total"));
+        trace.with_stages(|profiler| {
+            let names: Vec<&str> = profiler.stages().iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names.len(), 12);
+            assert_eq!(names[0], "population");
+            assert!(names.contains(&"crawl:top2020/Windows"));
+            assert!(names.contains(&"analyze:malicious"));
+            let table = profiler.render_table();
+            assert!(table.lines().last().unwrap().starts_with("total"));
+        });
+
+        // The finished journal resumes, by checkpoint restore, to the
+        // same tables.
+        drop(journal);
+        let resumed = Study::resume(&path, None).unwrap();
+        assert_eq!(resumed.stats, baseline.stats);
+        assert_eq!(resumed.all_experiments(), baseline.all_experiments());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -615,7 +484,7 @@ mod tests {
             let mut config = StudyConfig::quick(7);
             config.workers = workers;
             let trace = Trace::new();
-            let _ = Study::run_observed(config, Some(&trace));
+            let _ = Study::run_with(config, RunOptions::traced(&trace));
             trace.export_prometheus()
         };
         let baseline = export_with(1);
@@ -636,7 +505,7 @@ mod tests {
 
         let config = StudyConfig::quick(11);
         let base_trace = Trace::new();
-        let _ = Study::run_observed(config, Some(&base_trace));
+        let _ = Study::run_with(config, RunOptions::traced(&base_trace));
 
         let path = std::env::temp_dir().join(format!(
             "kt-study-metrics-resume-{}.ktj",
@@ -652,7 +521,7 @@ mod tests {
         assert!(journal.killed());
 
         let resumed_trace = Trace::new();
-        let _ = Study::resume_observed(&path, Some(&resumed_trace)).unwrap();
+        let _ = Study::resume(&path, Some(&resumed_trace)).unwrap();
 
         // Crawl-derived counters and analysis counters must match the
         // never-crashed run exactly; journal counters are writer-owned
@@ -690,7 +559,7 @@ mod tests {
     fn service_study_matches_batch_study() {
         let config = StudyConfig::quick(7);
         let batch = Study::run(config);
-        let service = Study::run_service(config);
+        let service = run_service(config);
         assert_eq!(service.stats, batch.stats, "per-campaign stats match");
         assert_eq!(service.store.len(), batch.store.len());
         for (crawl, _) in campaigns() {

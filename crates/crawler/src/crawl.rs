@@ -45,7 +45,7 @@ use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::observe::{set_stats_gauges, stats_sink, stats_sink_delta};
+use crate::observe::{record_journal_stats, set_stats_gauges, stats_sink, stats_sink_delta};
 use crate::queue::{JobTicket, PendingInjector};
 use crate::resume::ResumePlan;
 use crate::stats::{CrawlStats, StatsMark};
@@ -165,6 +165,63 @@ impl Workspace {
     }
 }
 
+/// Optional side channels of a campaign run. Neither perturbs results:
+/// the store contents and stats of a journaled or traced run are
+/// byte-identical to a plain one.
+#[derive(Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// Write-ahead journal: each visit's terminal verdict is framed
+    /// (record + stats delta) before the campaign moves on, so a crash
+    /// loses at most the in-flight frame. When its kill switch fires
+    /// (a [`kt_store::KillSpec`] boundary or an injected
+    /// [`Fault::ProcessKill`]), workers stop claiming jobs and the run
+    /// describes an abandoned campaign — the caller is simulating
+    /// `kill -9` and should discard it in favour of a resume.
+    pub journal: Option<&'a JournalWriter>,
+    /// Metrics and span sink: per-visit spans land in lock-free
+    /// per-worker ring buffers, per-worker counter sinks are built
+    /// from each worker's private tally and merged at join, and the
+    /// campaign's derived gauges are set from the final stats.
+    pub trace: Option<&'a Trace>,
+}
+
+impl<'a> RunOptions<'a> {
+    /// A journal and no trace.
+    pub fn journaled(journal: &'a JournalWriter) -> RunOptions<'a> {
+        RunOptions {
+            journal: Some(journal),
+            trace: None,
+        }
+    }
+
+    /// A trace and no journal.
+    pub fn traced(trace: &'a Trace) -> RunOptions<'a> {
+        RunOptions {
+            journal: None,
+            trace: Some(trace),
+        }
+    }
+
+    /// True once the journal's kill switch has fired.
+    pub fn killed(&self) -> bool {
+        self.journal.is_some_and(JournalWriter::killed)
+    }
+
+    /// End a journaled run: make every buffered frame durable and
+    /// record the writer's durability counters into the trace.
+    /// Journal counters are *writer-owned*: a resumed run reports only
+    /// the frames its own process appended, so — unlike the crawl
+    /// counters — they legitimately differ between a baseline run and
+    /// a kill/resume cycle.
+    pub fn sync_journal(&self) {
+        let Some(journal) = self.journal else { return };
+        journal.sync();
+        if let Some(trace) = self.trace {
+            record_journal_stats(trace, &journal.stats());
+        }
+    }
+}
+
 /// Run one crawl campaign over `jobs`, appending to `store`.
 ///
 /// Workers pull jobs off a shared work-stealing ticket queue, so a
@@ -182,33 +239,19 @@ pub fn run_crawl(
     config: &CrawlConfig,
     store: &TelemetryStore,
 ) -> CrawlStats {
-    run_crawl_journaled(jobs, config, store, None)
+    run_crawl_with(
+        jobs,
+        &ResumePlan::fresh(jobs.len()),
+        config,
+        store,
+        RunOptions::default(),
+    )
 }
 
-/// [`run_crawl`] with an optional write-ahead journal: each visit's
-/// terminal verdict is framed (record + stats delta) before the
-/// campaign moves on, so a crash loses at most the in-flight frame.
-/// Journalling never perturbs results — the store contents and stats
-/// of a journaled run are byte-identical to a plain one.
-///
-/// When the journal's kill switch fires (a [`kt_store::KillSpec`]
-/// boundary or an injected [`Fault::ProcessKill`]), workers stop
-/// claiming jobs and the returned stats describe an abandoned,
-/// partially-run campaign — the caller is simulating `kill -9` and
-/// should discard them in favour of `resume`.
-pub fn run_crawl_journaled(
-    jobs: &[CrawlJob<'_>],
-    config: &CrawlConfig,
-    store: &TelemetryStore,
-    journal: Option<&JournalWriter>,
-) -> CrawlStats {
-    run_crawl_resumed(jobs, &ResumePlan::fresh(jobs.len()), config, store, journal)
-}
-
-/// Run the remainder of a campaign whose earlier work survives in a
-/// journal. `plan` says which jobs are already done (their stats and
-/// scheduler costs carried in), which were parked for the recrawl
-/// pass, and which still need the worker pool. With
+/// [`run_crawl`] over the remainder `plan` leaves, with optional
+/// journal and trace. `plan` says which jobs are already done (their
+/// stats and scheduler costs carried in), which were parked for the
+/// recrawl pass, and which still need the worker pool; with
 /// [`ResumePlan::fresh`] this *is* the uninterrupted crawl.
 ///
 /// Resumed results are byte-identical to an uninterrupted run for
@@ -216,53 +259,19 @@ pub fn run_crawl_journaled(
 /// of `(seed, domain, attempt)`, the makespan is a greedy replay over
 /// the full per-job cost vector (journaled costs for finished jobs,
 /// freshly-recorded ones for the rest), and the recrawl pass is
-/// domain-ordered either way.
-pub fn run_crawl_resumed(
+/// domain-ordered either way. Counter series are derived from
+/// [`CrawlStats`] snapshots (worker tallies, the journal-replayed
+/// prior, the recrawl pass's delta), so the exported values always sum
+/// to the returned stats — byte-identical across `--workers` settings
+/// and kill/resume cycles.
+pub fn run_crawl_with(
     jobs: &[CrawlJob<'_>],
     plan: &ResumePlan,
     config: &CrawlConfig,
     store: &TelemetryStore,
-    journal: Option<&JournalWriter>,
+    options: RunOptions<'_>,
 ) -> CrawlStats {
-    run_crawl_resumed_observed(jobs, plan, config, store, journal, None)
-}
-
-/// [`run_crawl`] reporting into a [`Trace`]: per-visit spans land in
-/// lock-free per-worker ring buffers, per-worker counter sinks are
-/// built from each worker's private tally and merged at join, and the
-/// campaign's derived gauges are set from the final stats. Tracing
-/// never perturbs results — stats and store contents stay
-/// byte-identical to an untraced run.
-pub fn run_crawl_observed(
-    jobs: &[CrawlJob<'_>],
-    config: &CrawlConfig,
-    store: &TelemetryStore,
-    trace: Option<&Trace>,
-) -> CrawlStats {
-    run_crawl_resumed_observed(
-        jobs,
-        &ResumePlan::fresh(jobs.len()),
-        config,
-        store,
-        None,
-        trace,
-    )
-}
-
-/// [`run_crawl_resumed`] with optional tracing. Counter series are
-/// derived from [`CrawlStats`] snapshots (worker tallies, the
-/// journal-replayed prior, the recrawl pass's delta), so the exported
-/// values always sum to the returned stats — which are worker-count-
-/// and resume-invariant, making the exported text byte-identical
-/// across `--workers` settings and kill/resume cycles.
-pub fn run_crawl_resumed_observed(
-    jobs: &[CrawlJob<'_>],
-    plan: &ResumePlan,
-    config: &CrawlConfig,
-    store: &TelemetryStore,
-    journal: Option<&JournalWriter>,
-    trace: Option<&Trace>,
-) -> CrawlStats {
+    let RunOptions { journal, trace } = options;
     // The schedule replays over the *full* job vector whatever subset
     // actually re-runs, so the worker count it uses must be the one
     // the uninterrupted campaign would have had.
@@ -1371,6 +1380,17 @@ mod tests {
         ))
     }
 
+    /// A fresh journaled crawl.
+    fn journaled(
+        jobs: &[CrawlJob<'_>],
+        config: &CrawlConfig,
+        store: &TelemetryStore,
+        journal: &JournalWriter,
+    ) -> CrawlStats {
+        let plan = ResumePlan::fresh(jobs.len());
+        run_crawl_with(jobs, &plan, config, store, RunOptions::journaled(journal))
+    }
+
     /// A fault plan that exercises retries, recrawls, quarantines, and
     /// store-append retries all at once.
     fn stormy_plan(seed: u64) -> FaultPlan {
@@ -1392,7 +1412,7 @@ mod tests {
         let path = tmp("no-perturb");
         let journal = JournalWriter::create(&path).unwrap();
         let live_store = TelemetryStore::new();
-        let live = run_crawl_journaled(&jobs(&population), &config, &live_store, Some(&journal));
+        let live = journaled(&jobs(&population), &config, &live_store, &journal);
         journal.sync();
         assert!(!journal.killed());
         assert_eq!(live, baseline, "journalling must not perturb stats");
@@ -1436,8 +1456,7 @@ mod tests {
                 let journal = JournalWriter::create(&path).unwrap();
                 journal.set_kill(Some(KillSpec { at_frame, mode }));
                 let dying_store = TelemetryStore::new();
-                let _ =
-                    run_crawl_journaled(&jobs(&population), &config, &dying_store, Some(&journal));
+                let _ = journaled(&jobs(&population), &config, &dying_store, &journal);
                 assert!(journal.killed(), "frame {at_frame} must be reached");
 
                 // Recovery: replay what survived, plan the remainder,
@@ -1449,12 +1468,12 @@ mod tests {
                     .map(|c| c.plan(&jobs(&population)))
                     .unwrap_or_else(|| ResumePlan::fresh(population.len()));
                 let resumed_journal = JournalWriter::open_append(&path).unwrap();
-                let resumed = run_crawl_resumed(
+                let resumed = run_crawl_with(
                     &jobs(&population),
                     &plan,
                     &config,
                     &report.store,
-                    Some(&resumed_journal),
+                    RunOptions::journaled(&resumed_journal),
                 );
                 assert_eq!(
                     resumed, baseline,
@@ -1484,7 +1503,7 @@ mod tests {
         let path = tmp("process-kill");
         let journal = JournalWriter::create(&path).unwrap();
         let dying_store = TelemetryStore::new();
-        let _ = run_crawl_journaled(&jobs(&population), &config, &dying_store, Some(&journal));
+        let _ = journaled(&jobs(&population), &config, &dying_store, &journal);
         assert!(
             journal.killed(),
             "a 15% per-visit kill rate over 12 sites must fire"
@@ -1503,12 +1522,12 @@ mod tests {
             .map(|c| c.plan(&jobs(&population)))
             .unwrap_or_else(|| ResumePlan::fresh(population.len()));
         let resumed_journal = JournalWriter::open_append(&path).unwrap();
-        let resumed = run_crawl_resumed(
+        let resumed = run_crawl_with(
             &jobs(&population),
             &plan,
             &resume_config,
             &report.store,
-            Some(&resumed_journal),
+            RunOptions::journaled(&resumed_journal),
         );
         assert_eq!(resumed, baseline);
         assert_eq!(

@@ -8,7 +8,11 @@
 //! * [`crawl::run_crawl`] drives a worker pool (scoped threads over a
 //!   shared work-stealing [`queue::JobTicket`]) over a site
 //!   population: connectivity pre-check (ping 8.8.8.8), visit, parse,
-//!   store;
+//!   store; [`crawl::run_crawl_with`] is the same pool over a resume
+//!   plan with an optional journal and trace ([`crawl::RunOptions`]);
+//! * [`resume::run_checkpointed_campaign`] is the one campaign step of
+//!   every multi-campaign driver: restore a checkpointed campaign, or
+//!   run its remainder and append the checkpoint;
 //! * [`queue`] holds the lock-free scheduling primitives (the job
 //!   ticket and the recrawl injector);
 //! * [`stats::CrawlStats`] accumulates the Table 1 numbers: successful
@@ -25,12 +29,13 @@ pub mod stats;
 pub mod vantage;
 
 pub use crawl::{
-    run_crawl, run_crawl_chunked, run_crawl_journaled, run_crawl_observed, run_crawl_resumed,
-    run_crawl_resumed_observed, run_pool_job, run_recrawl_job, simulated_makespan, CrawlConfig,
-    CrawlJob, PoolJobEnd, Workspace, VISIT_WALL_MS,
+    run_crawl, run_crawl_chunked, run_crawl_with, run_pool_job, run_recrawl_job,
+    simulated_makespan, CrawlConfig, CrawlJob, PoolJobEnd, RunOptions, Workspace, VISIT_WALL_MS,
 };
 pub use incremental::IncrementalPlan;
-pub use observe::{campaign_labels, set_stats_gauges, stats_sink, stats_sink_delta};
-pub use resume::{split_campaigns, CampaignReplay, ResumePlan};
+pub use observe::{
+    campaign_labels, record_journal_stats, set_stats_gauges, stats_sink, stats_sink_delta,
+};
+pub use resume::{run_checkpointed_campaign, split_campaigns, CampaignReplay, ResumePlan};
 pub use stats::{CrawlStats, StatsMark};
 pub use vantage::{CrawlVantage, NetworkVantage};

@@ -17,7 +17,7 @@
 //! observability gate enforces.
 
 use kt_netbase::Os;
-use kt_store::CrawlId;
+use kt_store::{CrawlId, JournalStats};
 use kt_trace::{names, Labels, Trace, WorkerSink};
 
 use crate::stats::CrawlStats;
@@ -85,6 +85,27 @@ pub fn set_stats_gauges(trace: &Trace, crawl: &CrawlId, os: Os, stats: &CrawlSta
         names::CRAWL_SUCCESS_RATIO,
         campaign_labels(crawl, os),
         stats.success_rate(),
+    );
+}
+
+/// Record a journal writer's durability counters into the registry.
+pub fn record_journal_stats(trace: &Trace, stats: &JournalStats) {
+    let none = Labels::new(&[]);
+    for (name, value) in [
+        (names::JOURNAL_FRAMES_TOTAL, stats.frames),
+        (names::JOURNAL_VISITS_TOTAL, stats.visits),
+        (names::JOURNAL_CHECKPOINTS_TOTAL, stats.checkpoints),
+        (names::JOURNAL_BYTES_TOTAL, stats.bytes),
+        (names::JOURNAL_FSYNCS_TOTAL, stats.fsyncs),
+        (names::JOURNAL_GROUP_COMMITS_TOTAL, stats.group_commits),
+        (names::JOURNAL_GROUPED_FRAMES_TOTAL, stats.grouped_frames),
+    ] {
+        trace.inc_counter(name, none.clone(), value);
+    }
+    trace.set_gauge(
+        names::JOURNAL_FRAMES_PER_FSYNC,
+        none,
+        stats.frames_per_fsync(),
     );
 }
 

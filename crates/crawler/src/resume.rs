@@ -14,8 +14,10 @@
 use std::collections::BTreeMap;
 
 use kt_store::journal::{CheckpointFrame, ReplayedVisit, VisitDelta, FLAG_FINAL, FLAG_RECRAWL};
+use kt_store::TelemetryStore;
 
-use crate::crawl::CrawlJob;
+use crate::crawl::{run_crawl_with, CrawlConfig, CrawlJob, RunOptions};
+use crate::observe::{set_stats_gauges, stats_sink};
 use crate::stats::CrawlStats;
 
 /// What a resumed campaign must still do, plus everything the journal
@@ -86,11 +88,6 @@ impl CampaignReplay {
                 self.pool.get(domain).is_some_and(|(_, fin)| *fin)
                     || self.recrawl.contains_key(domain)
             })
-    }
-
-    /// Number of domains with any surviving frame.
-    pub fn domains(&self) -> usize {
-        self.pool.len().max(self.recrawl.len())
     }
 
     /// The checkpointed stats, but only when the checkpoint is
@@ -165,6 +162,59 @@ pub fn split_campaigns(
         campaign.completed = cp.completed.clone();
     }
     campaigns
+}
+
+/// One campaign of a checkpointed multi-campaign run: the loop body
+/// every study driver shares, fresh or resumed.
+///
+/// A campaign whose checkpoint survives in `replayed` is restored
+/// verbatim — the checkpoint *is* its merged tally, makespan and
+/// connectivity included, and its records arrived with the replayed
+/// store — and the trace's counters are seeded from it, the same
+/// derivation the crawl itself would have reported. A checkpoint that
+/// outlived a corrupted visit frame is not restorable; such a campaign
+/// falls through to its frame-level [`ResumePlan`] and re-runs the
+/// lost sites. Otherwise the pool runs the campaign's remainder and,
+/// when journaling, a [`CheckpointFrame`] marks it complete.
+///
+/// `None` means the journal's kill switch fired, before or during the
+/// campaign: the process is dead and the caller must stop.
+pub fn run_checkpointed_campaign(
+    jobs: &[CrawlJob<'_>],
+    replayed: &BTreeMap<(String, String), CampaignReplay>,
+    config: &CrawlConfig,
+    store: &TelemetryStore,
+    options: RunOptions<'_>,
+) -> Option<CrawlStats> {
+    if options.killed() {
+        return None;
+    }
+    let (crawl, os) = (&config.crawl, config.os);
+    let campaign = replayed.get(&(crawl.as_str().to_string(), os.name().to_string()));
+    if let Some(done) = campaign.and_then(CampaignReplay::restored_stats) {
+        if let Some(trace) = options.trace {
+            trace.merge_sink(&stats_sink(crawl, os, &done));
+            set_stats_gauges(trace, crawl, os, &done);
+        }
+        return Some(done);
+    }
+    let plan = campaign.map_or_else(|| ResumePlan::fresh(jobs.len()), |c| c.plan(jobs));
+    let stats = run_crawl_with(jobs, &plan, config, store, options);
+    if let Some(journal) = options.journal {
+        if journal.killed() {
+            return None;
+        }
+        journal.append_checkpoint(&CheckpointFrame {
+            crawl: crawl.as_str().to_string(),
+            os: os.name().to_string(),
+            completed: jobs
+                .iter()
+                .map(|job| job.site.domain.as_str().to_string())
+                .collect(),
+            stats: stats.to_bytes(),
+        });
+    }
+    Some(stats)
 }
 
 #[cfg(test)]

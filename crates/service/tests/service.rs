@@ -3,7 +3,9 @@
 //! deadline budgets, accounting reconciliation, and drain/resume.
 
 use kt_analysis::{analyze_crawl_par, OnlinePartial};
-use kt_crawler::crawl::{run_crawl, run_crawl_resumed, CrawlConfig, CrawlJob, VISIT_WALL_MS};
+use kt_crawler::crawl::{
+    run_crawl, run_crawl_with, CrawlConfig, CrawlJob, RunOptions, VISIT_WALL_MS,
+};
 use kt_crawler::split_campaigns;
 use kt_netbase::Os;
 use kt_service::{
@@ -405,7 +407,7 @@ fn drained_campaign_resumes_to_batch_identical_tables() {
     let plan = campaign.plan(&jobs);
     let mut cfg = CrawlConfig::paper(crawl.clone(), Os::MacOs, seed);
     cfg.workers = 2;
-    let resumed_stats = run_crawl_resumed(&jobs, &plan, &cfg, &report.store, None);
+    let resumed_stats = run_crawl_with(&jobs, &plan, &cfg, &report.store, RunOptions::default());
 
     // Uninterrupted batch reference.
     let batch_store = TelemetryStore::new();

@@ -176,7 +176,7 @@ static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32/IEEE (the zlib/gzip polynomial), slicing-by-8: eight table
 /// lookups per 8-byte word instead of one per byte. Bit-identical to
-/// [`crc32_bytewise`] (property-pinned in tests).
+/// the byte-at-a-time reference in the tests (property-pinned there).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
@@ -193,16 +193,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ CRC_TABLES[0][(hi >> 24) as usize];
     }
     for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// The original byte-at-a-time CRC-32, kept as the reference the fast
-/// path is property-tested against.
-pub fn crc32_bytewise(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
@@ -1333,6 +1323,16 @@ mod tests {
             },
             ..VisitDelta::default()
         }
+    }
+
+    /// The original byte-at-a-time CRC-32: the reference the sliced
+    /// fast path is property-tested against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
     }
 
     #[test]

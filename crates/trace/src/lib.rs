@@ -19,6 +19,8 @@
 //! [`Trace`] bundles a registry and a trace log behind mutexes so the
 //! supervisor can hand one handle to scoped worker threads; workers
 //! only lock at join (to merge a whole sink/ring), never per sample.
+//! It also carries the run's wall-clock stage table, which neither
+//! export reads.
 
 pub mod metrics;
 pub mod names;
@@ -36,14 +38,15 @@ pub use span::{EventRecord, SpanRecord, SpanRing, TraceLog};
 
 use std::sync::Mutex;
 
-/// A shareable observability handle: the metrics registry plus the
-/// span log, locked independently. Workers record into their own
-/// [`WorkerSink`]/[`SpanRing`] and merge once at join, so the mutexes
-/// see one uncontended lock per worker per campaign.
+/// A shareable observability handle: the metrics registry, the span
+/// log and the stage table, locked independently. Workers record into
+/// their own [`WorkerSink`]/[`SpanRing`] and merge once at join, so
+/// the mutexes see one uncontended lock per worker per campaign.
 #[derive(Debug, Default)]
 pub struct Trace {
     registry: Mutex<Registry>,
     log: Mutex<TraceLog>,
+    stages: Mutex<StageProfiler>,
 }
 
 impl Trace {
@@ -55,6 +58,7 @@ impl Trace {
         Trace {
             registry: Mutex::new(registry),
             log: Mutex::new(TraceLog::new()),
+            stages: Mutex::new(StageProfiler::new()),
         }
     }
 
@@ -111,6 +115,18 @@ impl Trace {
     /// Render the span log as JSONL.
     pub fn export_trace_jsonl(&self) -> String {
         self.log.lock().expect("log lock").to_jsonl()
+    }
+
+    /// Append a run's wall-clock stage rows. They are diagnostic only:
+    /// neither export reads them, so the byte-compared channels stay
+    /// schedule-invariant.
+    pub fn absorb_stages(&self, profiler: StageProfiler) {
+        self.stages.lock().expect("stages lock").append(profiler);
+    }
+
+    /// Run `f` over the stage table recorded so far.
+    pub fn with_stages<T>(&self, f: impl FnOnce(&StageProfiler) -> T) -> T {
+        f(&self.stages.lock().expect("stages lock"))
     }
 }
 

@@ -179,6 +179,11 @@ impl StageProfiler {
         }
     }
 
+    /// Append `other`'s stages after this profiler's.
+    pub fn append(&mut self, mut other: StageProfiler) {
+        self.stages.append(&mut other.stages);
+    }
+
     /// The recorded stages, in execution order.
     pub fn stages(&self) -> &[StageRecord] {
         &self.stages

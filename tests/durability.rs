@@ -7,8 +7,8 @@
 use knock_talk::analysis::report::{health_table, localhost_table, table1};
 use knock_talk::analysis::{analyze_crawl_par, detect_local};
 use knock_talk::crawler::{
-    run_crawl, run_crawl_journaled, run_crawl_resumed, split_campaigns, CrawlConfig, CrawlJob,
-    ResumePlan,
+    run_crawl, run_crawl_with, split_campaigns, CrawlConfig, CrawlJob, CrawlStats, ResumePlan,
+    RunOptions,
 };
 use knock_talk::faults::{Fault, FaultPlan};
 use knock_talk::netbase::{DomainName, Os, OsSet};
@@ -56,9 +56,21 @@ fn sweep_config() -> CrawlConfig {
     config
 }
 
+/// A fresh journaled crawl into a throwaway store.
+fn journaled(jobs: &[CrawlJob<'_>], config: &CrawlConfig, journal: &JournalWriter) -> CrawlStats {
+    let plan = ResumePlan::fresh(jobs.len());
+    run_crawl_with(
+        jobs,
+        &plan,
+        config,
+        &TelemetryStore::new(),
+        RunOptions::journaled(journal),
+    )
+}
+
 /// Every derived artefact the paper's tables read from one campaign,
 /// rendered to text so "byte-identical" means exactly that.
-fn campaign_tables(store: &TelemetryStore, stats: &knock_talk::crawler::CrawlStats) -> String {
+fn campaign_tables(store: &TelemetryStore, stats: &CrawlStats) -> String {
     let analysis = analyze_crawl_par(store, &CrawlId::top2020(), 2);
     let mut out = table1(&[("Top 100K: 2020", Os::Windows, stats)]).0;
     out.push_str(&health_table(&[("Top 100K: 2020", Os::Windows, stats)]).0);
@@ -86,7 +98,7 @@ fn kill_at_every_frame_boundary_resumes_to_identical_tables() {
     // Probe run: how many frames does the uninterrupted journal hold?
     let probe = tmp("sweep-probe");
     let journal = JournalWriter::create(&probe).unwrap();
-    run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+    journaled(&jobs, &config, &journal);
     journal.sync();
     let total_frames = replay(&probe).unwrap().frame_kinds.len() as u64;
     std::fs::remove_file(&probe).ok();
@@ -97,7 +109,7 @@ fn kill_at_every_frame_boundary_resumes_to_identical_tables() {
             let path = tmp(&format!("sweep-{at_frame}-{mode:?}"));
             let journal = JournalWriter::create(&path).unwrap();
             journal.set_kill(Some(KillSpec { at_frame, mode }));
-            run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+            journaled(&jobs, &config, &journal);
             assert!(journal.killed(), "kill at frame {at_frame} ({mode:?})");
             drop(journal);
 
@@ -108,7 +120,13 @@ fn kill_at_every_frame_boundary_resumes_to_identical_tables() {
                 .map(|c| c.plan(&jobs))
                 .unwrap_or_else(|| ResumePlan::fresh(jobs.len()));
             let journal = JournalWriter::open_append(&path).unwrap();
-            let stats = run_crawl_resumed(&jobs, &plan, &config, &report.store, Some(&journal));
+            let stats = run_crawl_with(
+                &jobs,
+                &plan,
+                &config,
+                &report.store,
+                RunOptions::journaled(&journal),
+            );
             journal.sync();
 
             assert_eq!(
@@ -168,7 +186,7 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
 
     let probe = tmp("group-sweep-probe");
     let journal = JournalWriter::create_with(&probe, grouped_config).unwrap();
-    run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+    journaled(&jobs, &config, &journal);
     journal.sync();
     drop(journal);
     let total_frames = replay(&probe).unwrap().frame_kinds.len() as u64;
@@ -179,7 +197,7 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
             let grouped_path = tmp(&format!("group-sweep-{at_frame}-{mode:?}"));
             let journal = JournalWriter::create_with(&grouped_path, grouped_config).unwrap();
             journal.set_kill(Some(KillSpec { at_frame, mode }));
-            run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+            journaled(&jobs, &config, &journal);
             assert!(journal.killed(), "kill at frame {at_frame} ({mode:?})");
             drop(journal);
 
@@ -187,7 +205,7 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
             let journal =
                 JournalWriter::create_with(&unbatched_path, JournalConfig::unbatched()).unwrap();
             journal.set_kill(Some(KillSpec { at_frame, mode }));
-            run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+            journaled(&jobs, &config, &journal);
             drop(journal);
 
             assert_eq!(
@@ -208,7 +226,13 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
                     .unwrap_or_else(|| ResumePlan::fresh(jobs.len()));
                 let journal =
                     JournalWriter::open_append_with(&grouped_path, grouped_config).unwrap();
-                let stats = run_crawl_resumed(&jobs, &plan, &config, &report.store, Some(&journal));
+                let stats = run_crawl_with(
+                    &jobs,
+                    &plan,
+                    &config,
+                    &report.store,
+                    RunOptions::journaled(&journal),
+                );
                 journal.sync();
                 assert_eq!(
                     campaign_tables(&report.store, &stats),
@@ -251,7 +275,7 @@ fn study_kills_at_meta_and_checkpoint_boundaries() {
     Study::run_journaled(config, Some(&journal));
     drop(journal);
     assert!(
-        Study::resume(&path).is_err(),
+        Study::resume(&path, None).is_err(),
         "resume without a meta frame must refuse"
     );
     std::fs::remove_file(&path).ok();
@@ -272,7 +296,7 @@ fn study_kills_at_meta_and_checkpoint_boundaries() {
         assert!(journal.killed(), "study must die at frame {at_frame}");
         drop(journal);
 
-        let resumed = Study::resume(&path).unwrap();
+        let resumed = Study::resume(&path, None).unwrap();
         assert_eq!(
             resumed.stats, baseline.stats,
             "stats diverge after kill at frame {at_frame} ({mode:?})"
@@ -337,7 +361,7 @@ fn fsck_repair_then_resume_recovers_a_damaged_study_journal() {
     assert_eq!(clean.corrupt_frames, 0);
     assert!(!clean.truncated_tail);
 
-    let resumed = Study::resume(&path).unwrap();
+    let resumed = Study::resume(&path, None).unwrap();
     for (crawl, _) in campaigns() {
         let pick = |records: Vec<knock_talk::store::VisitRecord>| {
             records
